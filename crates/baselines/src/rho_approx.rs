@@ -8,10 +8,8 @@
 //! `(ε,ρ)`-region queries, connect cells, and label — which is exactly
 //! the cell-based approximation of Gan & Tao that RP-DBSCAN generalises.
 
-use rpdbscan_core::label::{
-    assemble_clustering, extract_clusters, label_partition, predecessor_map,
-};
-use rpdbscan_core::partition::{group_by_cell, Partition};
+use rpdbscan_core::label::{assemble_clustering, label_cells, LabelSupport};
+use rpdbscan_core::partition::group_by_cell;
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
 use rpdbscan_engine::TaskError;
 use rpdbscan_geom::Dataset;
@@ -42,10 +40,9 @@ pub fn rho_approx_dbscan(
     let spec = GridSpec::new(data.dim(), eps, rho)
         .map_err(|e| TaskError::new(format!("invalid grid configuration: {e}")))?;
     let cells = group_by_cell(&spec, data);
-    let part = Partition { id: 0, cells };
     let dict = CellDictionary::build_from_points(spec, data.iter().map(|(_, p)| p));
     let index = DictionaryIndex::single(dict);
-    let local = build_local_clustering(&part, data, &index, min_pts, QueryRouting::auto(&index))?;
+    let local = build_local_clustering(data, &cells, &index, min_pts, QueryRouting::auto(&index))?;
 
     let mut core = vec![false; data.len()];
     for pts in local.core_points.values() {
@@ -53,18 +50,17 @@ pub fn rho_approx_dbscan(
             core[p.index()] = true;
         }
     }
-    let g = local.subgraph;
-    debug_assert!(g.is_global(), "single partition graph must be global");
-    let clusters = extract_clusters(&g);
-    let preds = predecessor_map(&g);
-    let labeled = label_partition(
-        &part,
-        &g,
-        &clusters,
-        &preds,
+    debug_assert!(
+        local.subgraph.is_global(),
+        "single partition graph must be global"
+    );
+    let support = LabelSupport::build(local.subgraph, index.dict());
+    let labeled = label_cells(
+        data,
+        &cells,
+        &support,
         &local.core_points,
         index.dict(),
-        data,
         eps,
     )?;
     Ok(RhoApproxOutput {

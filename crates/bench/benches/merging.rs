@@ -20,28 +20,28 @@ fn synth_subgraphs(k: usize, cells: u32, edges_per_graph: usize, seed: u64) -> V
     let slice = cells / k as u32;
     (0..k)
         .map(|i| {
-            let mut g = CellSubgraph::new();
             let lo = i as u32 * slice;
             let hi = if i == k - 1 { cells } else { lo + slice };
-            for c in lo..hi {
-                g.set_type(
-                    c,
-                    if rng.gen_bool(0.8) {
+            let types = (lo..hi)
+                .map(|c| {
+                    let t = if rng.gen_bool(0.8) {
                         CellType::Core
                     } else {
                         CellType::NonCore
-                    },
-                );
-            }
+                    };
+                    (c, t)
+                })
+                .collect();
+            let mut edges = Vec::with_capacity(edges_per_graph);
             for _ in 0..edges_per_graph {
                 let from = rng.gen_range(lo..hi);
                 // Edges target nearby cells, as real reachability does.
                 let to = (from as i64 + rng.gen_range(-40..40)).clamp(0, cells as i64 - 1) as u32;
                 if from != to {
-                    g.add_edge(from, to);
+                    edges.push((from, to));
                 }
             }
-            g
+            CellSubgraph::new(types, edges)
         })
         .collect()
 }
@@ -63,7 +63,7 @@ fn bench_tournament(c: &mut Criterion) {
                 let mut gs = synth_subgraphs(2, 20_000, 20_000, 9);
                 (gs.remove(0), gs.remove(0))
             },
-            |(g1, g2)| black_box(merge_pair(g1, g2).num_edges()),
+            |(g1, g2)| black_box(merge_pair(&g1, &g2).graph.num_edges()),
         )
     });
     // Ablation: union without edge reduction (what merging would cost if
@@ -72,18 +72,9 @@ fn bench_tournament(c: &mut Criterion) {
         b.iter_with_setup(
             || synth_subgraphs(16, 20_000, 5_000, 7),
             |graphs| {
-                let mut all = CellSubgraph::new();
-                let mut edges = 0usize;
-                for g in graphs {
-                    for (&cell, &t) in g.types().iter() {
-                        all.set_type(cell, t);
-                    }
-                    for &(a, b2) in g.edges().iter() {
-                        all.add_edge(a, b2);
-                    }
-                    edges = all.num_edges();
-                }
-                black_box(edges)
+                let types = graphs.iter().flat_map(|g| g.types()).copied().collect();
+                let edges = graphs.iter().flat_map(|g| g.edges()).copied().collect();
+                black_box(CellSubgraph::new(types, edges).num_edges())
             },
         )
     });

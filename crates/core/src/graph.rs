@@ -1,4 +1,4 @@
-//! Cell graphs (Definition 5.8).
+//! Cell graphs (Definition 5.8) as sorted runs.
 //!
 //! Vertices are cells (identified by their dictionary index), typed core /
 //! non-core / undetermined; edges run from core cells to reachable cells.
@@ -6,8 +6,13 @@
 //! ends are core, partial when the successor is non-core, undetermined
 //! when the successor's type is not yet known — so progressive edge-type
 //! detection (§6.1.3) is simply re-reading edges after vertex types merge.
+//!
+//! A graph is a *sorted run*: a `(cell, type)` table in ascending cell
+//! order plus an ascending, duplicate-free edge list. The same two
+//! sections, in the same order, are what a spill file holds, so Phase
+//! III-1 merges in-memory graphs and spilled graphs with one streaming
+//! two-way merge ([`crate::merge`]).
 
-use rpdbscan_grid::{FxHashMap, FxHashSet};
 /// Vertex type of a cell in a cell (sub)graph.
 ///
 /// Ordered so that `max` implements Definition 6.2's promotion: a
@@ -33,61 +38,72 @@ pub enum EdgeType {
     Undetermined,
 }
 
-/// A cell (sub)graph: typed cells plus directed reachability edges.
-#[derive(Debug, Clone, Default)]
+/// A cell (sub)graph: typed cells plus directed reachability edges, both
+/// kept sorted.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellSubgraph {
-    /// Determined vertex types; absent cells are `Undetermined`.
-    types: FxHashMap<u32, CellType>,
-    /// Directed edges `(from, to)`. `from` is always a core cell of the
-    /// originating partition. Full edges are normalised to
-    /// `(min, max)` once both endpoints are known core (direction is
-    /// irrelevant for them, §6.1.3).
-    edges: FxHashSet<(u32, u32)>,
+    /// Determined vertex types in ascending cell order, one entry per
+    /// cell; absent cells are `Undetermined`.
+    types: Vec<(u32, CellType)>,
+    /// Directed edges `(from, to)`, ascending and duplicate-free. `from`
+    /// is always a core cell of the originating partition. Full edges
+    /// are normalised to `(min, max)` once a merge sees both endpoints
+    /// core (direction is irrelevant for them, §6.1.3).
+    edges: Vec<(u32, u32)>,
 }
 
 impl CellSubgraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Self::default()
+    /// Builds a graph from unsorted parts.
+    ///
+    /// Types follow Definition 6.2: `Undetermined` entries are dropped,
+    /// and a cell listed twice keeps the larger type. Conflicting
+    /// determined types cannot arise under pseudo random partitioning
+    /// (cells are partition-disjoint); under the true-random ablation a
+    /// cell may be marked core by one partition and non-core by another,
+    /// and core wins because core-ness is an existential property of the
+    /// whole data set. Edges are sorted and deduplicated.
+    pub fn new(mut types: Vec<(u32, CellType)>, mut edges: Vec<(u32, u32)>) -> Self {
+        types.retain(|&(_, t)| t != CellType::Undetermined);
+        types.sort_unstable();
+        types.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = kept.1.max(later.1);
+            }
+            same
+        });
+        edges.sort_unstable();
+        edges.dedup();
+        debug_assert!(
+            edges.iter().all(|&(a, b)| a != b),
+            "self edges are never stored"
+        );
+        Self { types, edges }
     }
 
-    /// Sets (or promotes) the type of a cell.
-    ///
-    /// Promotion follows Definition 6.2: `Undetermined` never overwrites a
-    /// determined type. Conflicting determined types cannot arise under
-    /// pseudo random partitioning (cells are partition-disjoint); under the
-    /// true-random ablation a cell may be marked core by one partition and
-    /// non-core by another, and core wins because core-ness is an
-    /// existential property of the whole data set.
-    pub fn set_type(&mut self, cell: u32, t: CellType) {
-        if t == CellType::Undetermined {
-            return;
-        }
-        let entry = self.types.entry(cell).or_insert(CellType::Undetermined);
-        *entry = (*entry).max(t);
+    /// Wraps parts that already satisfy the sorted-run invariants (the
+    /// output of a merge).
+    pub(crate) fn from_sorted(types: Vec<(u32, CellType)>, edges: Vec<(u32, u32)>) -> Self {
+        debug_assert!(types.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]));
+        Self { types, edges }
     }
 
     /// The type of a cell (`Undetermined` when unknown).
     pub fn cell_type(&self, cell: u32) -> CellType {
-        self.types
-            .get(&cell)
-            .copied()
-            .unwrap_or(CellType::Undetermined)
+        match self.types.binary_search_by_key(&cell, |&(c, _)| c) {
+            Ok(i) => self.types[i].1,
+            Err(_) => CellType::Undetermined,
+        }
     }
 
-    /// Adds a directed edge from a core cell.
-    pub fn add_edge(&mut self, from: u32, to: u32) {
-        debug_assert_ne!(from, to, "self edges are never stored");
-        self.edges.insert((from, to));
-    }
-
-    /// The edge set.
-    pub fn edges(&self) -> &FxHashSet<(u32, u32)> {
+    /// The edges, ascending.
+    pub fn edges(&self) -> &[(u32, u32)] {
         &self.edges
     }
 
-    /// Determined vertex types.
-    pub fn types(&self) -> &FxHashMap<u32, CellType> {
+    /// Determined vertex types, in ascending cell order.
+    pub fn types(&self) -> &[(u32, CellType)] {
         &self.types
     }
 
@@ -113,7 +129,6 @@ impl CellSubgraph {
     /// Counts edges by current type — `(full, partial, undetermined)`.
     pub fn edge_type_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        // lint:allow(unordered-iter): tallying only — the three counters are order-insensitive
         for &(a, b) in &self.edges {
             match self.edge_type(a, b) {
                 EdgeType::Full => counts.0 += 1,
@@ -138,28 +153,18 @@ impl CellSubgraph {
     pub fn wire_bytes(&self) -> u64 {
         (self.types.len() * 5 + self.edges.len() * 8) as u64
     }
-
-    /// Consumes helpers for the merge phase.
-    pub(crate) fn into_parts(self) -> (FxHashMap<u32, CellType>, FxHashSet<(u32, u32)>) {
-        (self.types, self.edges)
-    }
-
-    /// Rebuilds from parts (merge phase).
-    pub(crate) fn from_parts(
-        types: FxHashMap<u32, CellType>,
-        edges: FxHashSet<(u32, u32)>,
-    ) -> Self {
-        Self { types, edges }
-    }
 }
 
-/// A weighted quick-union disjoint-set over dense `u32` ids, used for
-/// both redundant-edge reduction (§6.1.4) and final cluster extraction
-/// (spanning trees of Figure 10b).
+/// A disjoint-set over dense `u32` ids with path halving, used for
+/// redundant-edge reduction (§6.1.4), cluster extraction (spanning trees
+/// of Figure 10b) and the density backends' components.
+///
+/// Union joins the larger root under the smaller, so every root is the
+/// smallest member of its set: labels read off `find` never depend on
+/// union order.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<u32>,
-    rank: Vec<u8>,
 }
 
 impl UnionFind {
@@ -167,11 +172,10 @@ impl UnionFind {
     pub fn new(n: usize) -> Self {
         Self {
             parent: (0..n as u32).collect(),
-            rank: vec![0; n],
         }
     }
 
-    /// Representative of `x`'s set (path halving).
+    /// Representative (smallest member) of `x`'s set.
     pub fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let gp = self.parent[self.parent[x as usize] as usize];
@@ -188,15 +192,8 @@ impl UnionFind {
         if ra == rb {
             return false;
         }
-        let (ra, rb) = if self.rank[ra as usize] < self.rank[rb as usize] {
-            (rb, ra)
-        } else {
-            (ra, rb)
-        };
-        self.parent[rb as usize] = ra;
-        if self.rank[ra as usize] == self.rank[rb as usize] {
-            self.rank[ra as usize] += 1;
-        }
+        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        self.parent[hi as usize] = lo;
         true
     }
 }
@@ -204,44 +201,40 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CellType::{Core, NonCore, Undetermined};
 
     #[test]
     fn type_promotion_follows_definition_6_2() {
-        let mut g = CellSubgraph::new();
-        g.set_type(1, CellType::Undetermined);
-        assert_eq!(g.cell_type(1), CellType::Undetermined);
-        g.set_type(1, CellType::NonCore);
-        assert_eq!(g.cell_type(1), CellType::NonCore);
-        g.set_type(1, CellType::Undetermined); // never demotes
-        assert_eq!(g.cell_type(1), CellType::NonCore);
-        g.set_type(1, CellType::Core); // ablation promotion path
-        assert_eq!(g.cell_type(1), CellType::Core);
+        let g = CellSubgraph::new(vec![(1, Undetermined)], vec![]);
+        assert_eq!(g.cell_type(1), Undetermined);
+        assert!(g.types().is_empty(), "undetermined entries are not stored");
+        // Undetermined never demotes a determined type.
+        let g = CellSubgraph::new(vec![(1, NonCore), (1, Undetermined)], vec![]);
+        assert_eq!(g.cell_type(1), NonCore);
+        // Ablation promotion path: core wins over non-core.
+        let g = CellSubgraph::new(vec![(1, Core), (1, NonCore)], vec![]);
+        assert_eq!(g.types(), &[(1, Core)]);
     }
 
     #[test]
     fn edge_types_derive_from_endpoints() {
-        let mut g = CellSubgraph::new();
-        g.set_type(0, CellType::Core);
-        g.set_type(1, CellType::Core);
-        g.set_type(2, CellType::NonCore);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3); // 3 unknown
+        let types = vec![(0, Core), (1, Core), (2, NonCore)];
+        let edges = vec![(0, 3), (0, 1), (0, 2)]; // 3 unknown
+        let g = CellSubgraph::new(types.clone(), edges.clone());
+        assert_eq!(g.edges(), &[(0, 1), (0, 2), (0, 3)], "edges are sorted");
         assert_eq!(g.edge_type(0, 1), EdgeType::Full);
         assert_eq!(g.edge_type(0, 2), EdgeType::Partial);
         assert_eq!(g.edge_type(0, 3), EdgeType::Undetermined);
         assert_eq!(g.edge_type_counts(), (1, 1, 1));
         assert!(!g.is_global());
-        g.set_type(3, CellType::NonCore);
-        assert!(g.is_global());
+        let mut types = types;
+        types.push((3, NonCore));
+        assert!(CellSubgraph::new(types, edges).is_global());
     }
 
     #[test]
     fn duplicate_edges_collapse() {
-        let mut g = CellSubgraph::new();
-        g.set_type(0, CellType::Core);
-        g.add_edge(0, 1);
-        g.add_edge(0, 1);
+        let g = CellSubgraph::new(vec![(0, Core)], vec![(0, 1), (0, 1)]);
         assert_eq!(g.num_edges(), 1);
     }
 
@@ -266,11 +259,38 @@ mod tests {
     }
 
     #[test]
+    fn roots_are_smallest_members() {
+        let mut uf = UnionFind::new(8);
+        uf.union(5, 3);
+        uf.union(3, 7);
+        uf.union(2, 5);
+        assert_eq!(uf.find(7), 2);
+        assert_eq!(uf.find(5), 2);
+        assert_eq!(uf.find(2), 2);
+        assert_eq!(uf.find(0), 0);
+        assert_eq!(uf.find(6), 6);
+    }
+
+    #[test]
+    fn union_order_does_not_change_roots() {
+        let edges = [(0u32, 1u32), (2, 3), (1, 2), (4, 5)];
+        let mut a = UnionFind::new(6);
+        for &(x, y) in &edges {
+            a.union(x, y);
+        }
+        let mut b = UnionFind::new(6);
+        for &(x, y) in edges.iter().rev() {
+            b.union(y, x);
+        }
+        for i in 0..6u32 {
+            assert_eq!(a.find(i), b.find(i));
+        }
+    }
+
+    #[test]
     fn wire_bytes_scale_with_content() {
-        let mut g = CellSubgraph::new();
-        assert_eq!(g.wire_bytes(), 0);
-        g.set_type(0, CellType::Core);
-        g.add_edge(0, 1);
+        assert_eq!(CellSubgraph::default().wire_bytes(), 0);
+        let g = CellSubgraph::new(vec![(0, Core)], vec![(0, 1)]);
         assert_eq!(g.wire_bytes(), 5 + 8);
     }
 }

@@ -6,13 +6,19 @@
 //! non-core cells are checked individually against the core points of
 //! their predecessor cells with an exact ε distance test (the
 //! partially-direct branch), and points matching nothing are outliers.
+//!
+//! Cluster ids are canonical: components are numbered in the order of
+//! their smallest cell coordinate, so a label depends only on the data
+//! and `(ε, ρ, minPts)` — not on partition count, seed, or where the
+//! points were read from.
 
 use crate::graph::{CellSubgraph, CellType, UnionFind};
-use crate::partition::Partition;
+use crate::partition::CellSource;
 use rpdbscan_engine::TaskError;
-use rpdbscan_geom::{dist2, Dataset, PointId};
-use rpdbscan_grid::FxHashMap;
+use rpdbscan_geom::{dist2, PointId};
+use rpdbscan_grid::{CellDictionary, FxHashMap};
 use rpdbscan_metrics::Clustering;
+use std::collections::hash_map::Entry;
 
 /// Cluster assignment at the cell level: each core cell's cluster id.
 #[derive(Debug, Clone)]
@@ -26,59 +32,75 @@ pub struct GlobalClusters {
 /// Extracts clusters from the global cell graph: connected components of
 /// core cells under full edges (each spanning tree of Figure 10b is the
 /// maximal set of core cells forming one cluster).
-pub fn extract_clusters(g: &CellSubgraph) -> GlobalClusters {
-    let mut core_ids: Vec<u32> = g
+///
+/// Components are numbered `0, 1, …` in the order of their smallest
+/// cell coordinate (`dict` resolves dictionary indices to coordinates),
+/// which makes the ids independent of dictionary build order.
+pub fn extract_clusters(g: &CellSubgraph, dict: &CellDictionary) -> GlobalClusters {
+    let mut core: Vec<u32> = g
         .types()
         .iter()
-        .filter(|(_, &t)| t == CellType::Core)
-        .map(|(&c, _)| c)
+        .filter(|&&(_, t)| t == CellType::Core)
+        .map(|&(c, _)| c)
         .collect();
-    core_ids.sort_unstable();
-    let dense: FxHashMap<u32, u32> = core_ids
+    core.sort_unstable_by(|&a, &b| dict.entry(a).coord.cmp(&dict.entry(b).coord));
+    // Union-find ids are coordinate ranks, so each root is its
+    // component's smallest coordinate and is met before its members.
+    let rank: FxHashMap<u32, u32> = core
         .iter()
         .enumerate()
         .map(|(i, &c)| (c, i as u32))
         .collect();
-    let mut uf = UnionFind::new(core_ids.len());
+    let mut uf = UnionFind::new(core.len());
     for &(a, b) in g.edges() {
-        if g.cell_type(a) == CellType::Core && g.cell_type(b) == CellType::Core {
-            uf.union(dense[&a], dense[&b]);
+        if let (Some(&i), Some(&j)) = (rank.get(&a), rank.get(&b)) {
+            uf.union(i, j);
         }
     }
-    // Dense cluster ids in order of first appearance over sorted cells.
-    let mut cluster_of_root: FxHashMap<u32, u32> = FxHashMap::default();
-    let mut cluster_of_cell: FxHashMap<u32, u32> = FxHashMap::default();
-    for &cell in &core_ids {
-        let root = uf.find(dense[&cell]);
-        let next = cluster_of_root.len() as u32;
-        let cid = *cluster_of_root.entry(root).or_insert(next);
-        cluster_of_cell.insert(cell, cid);
+    let mut cluster_of_rank: Vec<u32> = Vec::with_capacity(core.len());
+    let mut num_clusters = 0u32;
+    for i in 0..core.len() as u32 {
+        let root = uf.find(i);
+        let cid = if root == i {
+            num_clusters += 1;
+            num_clusters - 1
+        } else {
+            cluster_of_rank[root as usize]
+        };
+        cluster_of_rank.push(cid);
     }
     GlobalClusters {
-        num_clusters: cluster_of_root.len(),
-        cluster_of_cell,
+        cluster_of_cell: core.into_iter().zip(cluster_of_rank).collect(),
+        num_clusters: num_clusters as usize,
     }
 }
 
 /// Everything Phase III-2 labeling reads from the merged global graph,
 /// derived once and shared read-only across the per-partition label
-/// tasks (both the resident and out-of-core drivers label against this
-/// same bundle).
+/// tasks.
 #[derive(Debug, Clone)]
 pub struct LabelSupport {
     /// The merged global cell graph.
     pub global: CellSubgraph,
     /// Cluster id per core cell.
     pub clusters: GlobalClusters,
-    /// Predecessor core cells per non-core cell.
+    /// Predecessor core cells per non-core cell, in cell-coordinate
+    /// order.
     pub preds: FxHashMap<u32, Vec<u32>>,
 }
 
 impl LabelSupport {
     /// Extracts clusters and the predecessor map from the global graph.
-    pub fn build(global: CellSubgraph) -> LabelSupport {
-        let clusters = extract_clusters(&global);
-        let preds = predecessor_map(&global);
+    pub fn build(global: CellSubgraph, dict: &CellDictionary) -> LabelSupport {
+        let clusters = extract_clusters(&global, dict);
+        let mut preds = predecessor_map(&global);
+        // Coordinate order depends only on the data — not on partition
+        // count, seed, or dictionary build order — so ambiguous border
+        // points resolve identically across runs and across the batch
+        // and streaming pipelines.
+        for v in preds.values_mut() {
+            v.sort_unstable_by(|&a, &b| dict.entry(a).coord.cmp(&dict.entry(b).coord));
+        }
         LabelSupport {
             global,
             clusters,
@@ -88,7 +110,8 @@ impl LabelSupport {
 }
 
 /// Predecessor core cells of every non-core cell: the `PC` set of
-/// Algorithm 4, Line 18, read off the global graph's partial edges.
+/// Algorithm 4, Line 18, read off the global graph's partial edges
+/// (ascending cell index, as the edges are sorted).
 pub fn predecessor_map(g: &CellSubgraph) -> FxHashMap<u32, Vec<u32>> {
     let mut preds: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
     for &(a, b) in g.edges() {
@@ -96,74 +119,68 @@ pub fn predecessor_map(g: &CellSubgraph) -> FxHashMap<u32, Vec<u32>> {
             preds.entry(b).or_default().push(a);
         }
     }
-    for v in preds.values_mut() {
-        v.sort_unstable();
-        v.dedup();
-    }
     preds
 }
 
-/// Labels the points of one partition from the global graph
-/// (Algorithm 4, Lines 10–23). Returns `(point, label)` pairs; `None`
-/// labels are outliers.
+/// Labels one partition's cells from the global graph (Algorithm 4,
+/// Lines 10–23). Returns `(point, label)` pairs; `None` labels are
+/// outliers.
+///
+/// Core cells give all their points the cell's cluster (Lines 13–16).
+/// Border points get an exact check against predecessor core points
+/// (Lines 18–23), visiting predecessors in coordinate order; the first
+/// qualifying predecessor wins, as in sequential DBSCAN's first-come
+/// assignment. Each predecessor's core coordinates are read once per
+/// partition through `src`.
 ///
 /// Runs inside a `run_stage` task, so internal-consistency violations
 /// (a partition cell absent from the dictionary, an undetermined cell
 /// in a supposedly global graph) surface as [`TaskError`]s and flow
 /// through the engine's failure path instead of panicking a worker.
-#[allow(clippy::too_many_arguments)]
-pub fn label_partition(
-    partition: &Partition,
-    g: &CellSubgraph,
-    clusters: &GlobalClusters,
-    preds: &FxHashMap<u32, Vec<u32>>,
+pub fn label_cells<S: CellSource>(
+    src: &S,
+    cells: &[S::Cell],
+    support: &LabelSupport,
     core_points: &FxHashMap<u32, Vec<PointId>>,
-    dict: &rpdbscan_grid::CellDictionary,
-    data: &Dataset,
+    dict: &CellDictionary,
     eps: f64,
 ) -> Result<Vec<(PointId, Option<u32>)>, TaskError> {
     let eps2 = eps * eps;
-    let mut out = Vec::with_capacity(partition.num_points());
-    for cell in &partition.cells {
-        let idx = dict.index_of(&cell.coord).ok_or_else(|| {
-            TaskError::new(format!(
-                "partition cell {} missing from dictionary",
-                cell.coord
-            ))
+    let dim = dict.spec().dim();
+    let cluster_of = &support.clusters.cluster_of_cell;
+    let mut out = Vec::new();
+    let (mut ids, mut coords) = (Vec::new(), Vec::new());
+    let mut core_coords: FxHashMap<u32, Vec<f64>> = FxHashMap::default();
+    for cell in cells {
+        let coord = src.coord(cell);
+        let idx = dict.index_of(coord).ok_or_else(|| {
+            TaskError::new(format!("partition cell {coord} missing from dictionary"))
         })?;
-        match g.cell_type(idx) {
+        src.ids(cell, &mut ids)?;
+        match support.global.cell_type(idx) {
             CellType::Core => {
-                // All points of a core cell share its cluster (Lines 13–16).
-                let cid = clusters.cluster_of_cell[&idx];
-                for &p in &cell.points {
-                    out.push((p, Some(cid)));
-                }
+                let cid = cluster_of[&idx];
+                out.extend(ids.iter().map(|&p| (p, Some(cid))));
             }
             CellType::NonCore => {
-                // Border points: exact check against predecessor core
-                // points (Lines 18–23); first qualifying predecessor wins,
-                // as in sequential DBSCAN's first-come assignment. The
-                // predecessors are visited in cell-coordinate order, which
-                // depends only on the data — not on partition count, seed,
-                // or dictionary build order — so ambiguous border points
-                // resolve identically across runs and across the batch and
-                // streaming pipelines.
-                let empty = Vec::new();
-                let mut pred_cells = preds.get(&idx).unwrap_or(&empty).clone();
-                pred_cells.sort_unstable_by(|a, b| dict.entry(*a).coord.cmp(&dict.entry(*b).coord));
-                for &q in &cell.points {
-                    let qc = data.point(q);
-                    let mut label = None;
-                    'search: for &pc in &pred_cells {
-                        if let Some(cores) = core_points.get(&pc) {
-                            for &p in cores {
-                                if dist2(data.point(p), qc) <= eps2 {
-                                    label = Some(clusters.cluster_of_cell[&pc]);
-                                    break 'search;
-                                }
-                            }
-                        }
+                src.coords(cell, &mut coords)?;
+                let pred_cells = support.preds.get(&idx).map_or(&[][..], Vec::as_slice);
+                for &pc in pred_cells {
+                    if let (Entry::Vacant(slot), Some(cores)) =
+                        (core_coords.entry(pc), core_points.get(&pc))
+                    {
+                        let mut gathered = Vec::new();
+                        src.coords_of(&dict.entry(pc).coord, cores, &mut gathered)?;
+                        slot.insert(gathered);
                     }
+                }
+                for (&q, qc) in ids.iter().zip(coords.chunks_exact(dim)) {
+                    let within = |pc: &&u32| {
+                        core_coords
+                            .get(*pc)
+                            .is_some_and(|cc| cc.chunks_exact(dim).any(|p| dist2(p, qc) <= eps2))
+                    };
+                    let label = pred_cells.iter().find(within).map(|pc| cluster_of[pc]);
                     out.push((q, label));
                 }
             }
@@ -195,7 +212,8 @@ mod tests {
     use crate::merge::tournament;
     use crate::partition::{group_by_cell, pseudo_random_partition};
     use crate::phase2::{build_local_clustering, QueryRouting};
-    use rpdbscan_grid::{CellDictionary, DictionaryIndex, GridSpec};
+    use rpdbscan_geom::Dataset;
+    use rpdbscan_grid::{CellCoord, DictionaryIndex, GridSpec};
 
     /// End-to-end mini pipeline (partition → phase2 → merge → label) used
     /// by the labeling tests.
@@ -211,42 +229,30 @@ mod tests {
         let parts = pseudo_random_partition(cells, k, 0);
         let dict = CellDictionary::build_from_points(spec.clone(), data.iter().map(|(_, p)| p));
         let index = DictionaryIndex::new(dict, 1 << 16);
-        let locals: Vec<_> = parts
-            .iter()
-            .map(|p| {
-                build_local_clustering(p, &data, &index, min_pts, QueryRouting::auto(&index))
-                    .unwrap()
-            })
-            .collect();
         let mut core_points: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
         let mut graphs = Vec::new();
-        for l in locals {
-            for (c, pts) in l.core_points {
-                core_points.entry(c).or_default().extend(pts);
-            }
+        for p in &parts {
+            let l = build_local_clustering(
+                &data,
+                &p.cells,
+                &index,
+                min_pts,
+                QueryRouting::auto(&index),
+            )
+            .unwrap();
+            core_points.extend(l.core_points);
             graphs.push(l.subgraph);
         }
         let g = tournament(graphs, |_, _| {});
         assert!(g.is_global());
-        let clusters = extract_clusters(&g);
-        let preds = predecessor_map(&g);
+        let support = LabelSupport::build(g, index.dict());
         let labeled: Vec<_> = parts
             .iter()
             .map(|p| {
-                label_partition(
-                    p,
-                    &g,
-                    &clusters,
-                    &preds,
-                    &core_points,
-                    index.dict(),
-                    &data,
-                    eps,
-                )
-                .unwrap()
+                label_cells(&data, &p.cells, &support, &core_points, index.dict(), eps).unwrap()
             })
             .collect();
-        (assemble_clustering(data.len(), labeled), clusters)
+        (assemble_clustering(data.len(), labeled), support.clusters)
     }
 
     fn blob(cx: f64, cy: f64, n: usize, spread: f64) -> Vec<Vec<f64>> {
@@ -285,10 +291,8 @@ mod tests {
         rows.extend(blob(6.0, -3.0, 50, 0.4));
         let (c1, _) = run_pipeline(&rows, 0.8, 5, 1);
         let (c8, _) = run_pipeline(&rows, 0.8, 5, 8);
-        // Same clustering up to label permutation: compare via Rand index.
-        let ri =
-            rpdbscan_metrics::rand_index(&c1, &c8, rpdbscan_metrics::NoisePolicy::SingleCluster);
-        assert_eq!(ri, 1.0);
+        // Canonical ids: the very same labels, not just the same grouping.
+        assert_eq!(c1, c8);
     }
 
     #[test]
@@ -311,27 +315,67 @@ mod tests {
         assert_eq!(c.noise_count(), 20);
     }
 
+    /// A dictionary whose index order disagrees with coordinate order:
+    /// index `i` holds the cell at x = `xs[i]`.
+    fn dict_with_x(xs: &[i64]) -> CellDictionary {
+        let spec = GridSpec::new(2, 1.0, 0.5).unwrap();
+        let entries: Vec<_> = xs
+            .iter()
+            .map(|&x| {
+                let coord = CellCoord::new(vec![x, 0]);
+                let center = spec.cell_center(&coord);
+                rpdbscan_grid::CellEntry::from_points(&spec, coord, std::iter::once(&center[..]))
+            })
+            .collect();
+        CellDictionary::from_entries(spec, entries)
+    }
+
     #[test]
     fn extract_clusters_counts_isolated_core_cells() {
-        let mut g = CellSubgraph::new();
-        g.set_type(0, CellType::Core);
-        g.set_type(5, CellType::Core);
-        g.set_type(9, CellType::NonCore);
-        let c = extract_clusters(&g);
+        let g = CellSubgraph::new(
+            vec![
+                (0, CellType::Core),
+                (1, CellType::Core),
+                (2, CellType::NonCore),
+            ],
+            vec![],
+        );
+        let c = extract_clusters(&g, &dict_with_x(&[0, 5, 9]));
         assert_eq!(c.num_clusters, 2);
-        assert_ne!(c.cluster_of_cell[&0], c.cluster_of_cell[&5]);
-        assert!(!c.cluster_of_cell.contains_key(&9));
+        assert_ne!(c.cluster_of_cell[&0], c.cluster_of_cell[&1]);
+        assert!(!c.cluster_of_cell.contains_key(&2));
+    }
+
+    #[test]
+    fn cluster_ids_follow_smallest_coordinate_not_index() {
+        // Cells 0 and 2 (x = 9, 8) form one component, cell 1 (x = 3)
+        // another. Index order would number {0, 2} first; coordinate
+        // order puts x = 3 first.
+        let g = CellSubgraph::new(
+            vec![
+                (0, CellType::Core),
+                (1, CellType::Core),
+                (2, CellType::Core),
+            ],
+            vec![(0, 2)],
+        );
+        let c = extract_clusters(&g, &dict_with_x(&[9, 3, 8]));
+        assert_eq!(c.num_clusters, 2);
+        assert_eq!(c.cluster_of_cell[&1], 0);
+        assert_eq!(c.cluster_of_cell[&0], 1);
+        assert_eq!(c.cluster_of_cell[&2], 1);
     }
 
     #[test]
     fn predecessor_map_collects_partial_edges_only() {
-        let mut g = CellSubgraph::new();
-        g.set_type(0, CellType::Core);
-        g.set_type(1, CellType::Core);
-        g.set_type(2, CellType::NonCore);
-        g.add_edge(0, 1); // full
-        g.add_edge(0, 2); // partial
-        g.add_edge(1, 2); // partial
+        let g = CellSubgraph::new(
+            vec![
+                (0, CellType::Core),
+                (1, CellType::Core),
+                (2, CellType::NonCore),
+            ],
+            vec![(0, 1), (0, 2), (1, 2)], // one full, two partial
+        );
         let p = predecessor_map(&g);
         assert_eq!(p.len(), 1);
         assert_eq!(p[&2], vec![0, 1]);

@@ -57,8 +57,8 @@ pub use driver::{validate_backend_config, RpDbscan, RpDbscanOutput, RunStats};
 pub use graph::{CellSubgraph, CellType, EdgeType};
 pub use ooc::OutOfCoreConfig;
 pub use params::{DensityBackendKind, RpDbscanParams};
-pub use partition::{pseudo_random_deal, CellPoints, Partition};
-pub use phase2::{LocalBuilder, PointSource, QueryRouting};
+pub use partition::{pseudo_random_deal, CellPoints, CellSource, Partition};
+pub use phase2::QueryRouting;
 pub use repair::{
     assign_border_point, cell_contribution, contribution_delta, recompute_cell, sub_diff,
     CellRepair, SubDiff,

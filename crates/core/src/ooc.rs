@@ -1,47 +1,37 @@
-//! The out-of-core driver: Algorithm 1 over a paged column store.
+//! The out-of-core entry point: Algorithm 1 over a paged column store.
 //!
-//! [`RpDbscan::run_out_of_core`] runs the same three phases as
-//! [`RpDbscan::run`], but point coordinates never live in memory as a
-//! whole: Phase I-2's dictionary build and Phase II's region queries
-//! gather one cell at a time through a byte-budgeted
-//! [`BufferPool`], and Phase III-1 merges cell graphs through spill
-//! files — each partition's subgraph is serialized to disk after Phase
-//! II, and every tournament match streams two spill files against each
-//! other, holding only the merged type table and the survivor edge list
-//! (the *frontier*) in memory.
+//! [`RpDbscan::run_out_of_core`] runs the very pipeline body of
+//! [`RpDbscan::run`]; it only plugs in different answers at the three
+//! seams where the two differ:
 //!
-//! The output is bit-identical to the resident pipeline on the same
-//! parameters, by construction rather than by accident:
+//! * *finding the cells* (Phase I-1): the store directory already is the
+//!   coordinate-sorted cell list the resident run builds by grouping
+//!   points, so the seeded deal shuffles directory indices;
+//! * *reading a cell's points* ([`CellSource`]): ids and coordinates are
+//!   gathered one cell at a time through a byte-budgeted [`BufferPool`];
+//! * *keeping a round's graphs* (`RunStore`): each partition's subgraph is
+//!   written to a spill file after Phase II, and every tournament match
+//!   streams two spill files through the shared merge
+//!   ([`merge_runs`]) and writes the result back, holding only the merge
+//!   frontier in memory.
 //!
-//! * the store's row order (cell coordinate, then original id) equals
-//!   the resident pipeline's `merge_cell_groups` order, so the seeded
-//!   shuffle in [`pseudo_random_deal`] deals the same cells to the same
-//!   partitions;
-//! * Phase II feeds the shared [`LocalBuilder`] the same ids and the
-//!   same (bit-exact, round-tripped through the file) coordinates in
-//!   the same order;
-//! * the spill merge consumes edges in the same sorted order the
-//!   resident `merge_pair` sorts them into, so the union-find keeps the
-//!   same spanning forest.
-//!
-//! The equivalence suite pins all of this across dimensions, densities,
-//! budgets and partition counts.
+//! The store's row order (cell coordinate, then original id) is the
+//! resident cell order, so both runs deal the same cells to the same
+//! partitions and feed every phase the same ids and (bit-exact) values;
+//! the equivalence suite pins labels and shared counters across
+//! dimensions, densities, budgets and partition counts.
 
-use crate::driver::{RpDbscan, RpDbscanOutput, RunStats};
-use crate::graph::{CellSubgraph, CellType, UnionFind};
-use crate::label::{assemble_clustering, LabelSupport};
-use crate::partition::pseudo_random_deal;
-use crate::phase2::{LocalBuilder, PointSource, QueryRouting};
+use crate::driver::{RpDbscan, RpDbscanOutput, RunStore};
+use crate::graph::{CellSubgraph, CellType};
+use crate::merge::{collect_run, merge_runs, RunSource};
+use crate::partition::CellSource;
 use crate::CoreError;
 use rpdbscan_engine::{Engine, TaskError};
 use rpdbscan_geom::PointId;
-use rpdbscan_grid::{CellDictionary, CellEntry, DictionaryIndex, FxHashMap, FxHashSet, QueryStats};
+use rpdbscan_grid::CellCoord;
 use rpdbscan_store::{BufferPool, ColumnStore, SpillDir, SpillHandle, SpillReader, StoreError};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// A spilled per-partition cell graph: its file handle plus edge count.
-type SpilledGraph = (SpillHandle, usize);
 
 /// Knobs of the out-of-core pipeline.
 #[derive(Debug, Clone)]
@@ -98,180 +88,22 @@ impl RpDbscan {
                 }));
             }
         }
-        let spec = store.spec().clone();
-        let dim = store.dim();
-        let k = p.num_partitions;
         let pool = BufferPool::new(Arc::clone(store), cfg.mem_budget_bytes);
         let spill = SpillDir::create(cfg.spill_dir.as_deref())?;
-
-        // ---- Phase I-1: pseudo random partitioning -------------------
-        // The directory *is* the grouped cell list (built at ingest, in
-        // the same sorted order the resident pipeline produces), so
-        // partitioning deals directory indices instead of point vectors.
-        let dir_indices: Vec<u32> = (0..store.cells().len() as u32).collect();
-        let parts: Vec<Vec<u32>> = pseudo_random_deal(dir_indices, k, p.seed);
-        let point_bytes = (dim * 4) as u64;
-        engine.shuffle_cost("phase1-1:shuffle", store.len() * point_bytes);
-
-        // ---- Phase I-2: cell dictionary building + broadcast ----------
-        let part_refs: Vec<&[u32]> = parts.iter().map(|v| v.as_slice()).collect();
-        let entries =
-            engine.run_stage("phase1-2:dictionary", part_refs.clone(), |_ctx, part| {
-                let mut coords: Vec<f64> = Vec::new();
-                let mut out = Vec::with_capacity(part.len());
-                for &ci in part {
-                    let meta = &pool.store().cells()[ci as usize];
-                    pool.gather_coords(meta.row_start, meta.row_count, &mut coords)
-                        .map_err(task_err)?;
-                    out.push(CellEntry::from_points(
-                        &spec,
-                        meta.coord.clone(),
-                        coords.chunks_exact(dim.max(1)),
-                    ));
-                }
-                Ok(out)
-            })?;
-        let dict =
-            CellDictionary::from_entries(spec.clone(), entries.outputs.into_iter().flatten());
-        let wire_bytes = dict.encode().len() as u64;
-        engine.broadcast_cost("phase1-2:broadcast", wire_bytes);
-        let dict_cells = dict.num_cells();
-        let dict_subcells = dict.num_sub_cells();
-        let dict_size_bits = dict.size_bits();
-        let index = DictionaryIndex::new(dict, p.subdict_capacity);
-
-        // ---- Phase II: cell graph construction, spilled ---------------
-        let routing = QueryRouting::auto(&index);
-        let locals =
-            engine.run_stage("phase2:local-clustering", part_refs.clone(), |ctx, part| {
-                if Some(ctx.index()) == p.inject_fault {
-                    // lint:allow(panic-safety): deliberate fault-injection hook; the engine's panic recovery is what is under test
-                    panic!("injected fault in partition {}", ctx.index());
-                }
-                let mut builder = LocalBuilder::new(&index);
-                let mut coords: Vec<f64> = Vec::new();
-                let mut ids: Vec<u32> = Vec::new();
-                let mut pids: Vec<PointId> = Vec::new();
-                for &ci in part {
-                    let meta = &pool.store().cells()[ci as usize];
-                    pool.gather_coords(meta.row_start, meta.row_count, &mut coords)
-                        .map_err(task_err)?;
-                    pool.gather_ids(meta.row_start, meta.row_count, &mut ids)
-                        .map_err(task_err)?;
-                    pids.clear();
-                    pids.extend(ids.iter().map(|&i| PointId(i)));
-                    builder.process_cell(
-                        &index,
-                        p.min_pts,
-                        routing,
-                        &meta.coord,
-                        &pids,
-                        PointSource::Rows(&coords),
-                    )?;
-                }
-                let local = builder.finish();
-                let (handle, edges) = spill_subgraph(&spill, &local.subgraph).map_err(task_err)?;
-                Ok((handle, edges, local.core_points, local.stats, local.queries))
-            })?;
-        let mut query_stats = QueryStats::default();
-        let mut core_points: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
-        let mut handles: Vec<SpilledGraph> = Vec::with_capacity(k);
-        let mut points_processed = 0u64;
-        for (handle, edges, cores, stats, queries) in locals.outputs {
-            query_stats.merge(&stats);
-            points_processed += queries;
-            for (c, pts) in cores {
-                core_points.entry(c).or_default().extend(pts);
-            }
-            handles.push((handle, edges));
-        }
-
-        // ---- Phase III-1: progressive merging over spill files --------
-        let mut edges_per_round = vec![handles.iter().map(|(_, e)| e).sum::<usize>()];
-        let mut merge_peak_frontier = 0u64;
-        let mut round = 0;
-        while handles.len() > 1 {
-            round += 1;
-            let moved_bytes: u64 = handles
-                .iter()
-                .skip(1)
-                .step_by(2)
-                .map(|(h, _)| h.bytes())
-                .sum();
-            engine.shuffle_cost(&format!("phase3-1:shuffle-round-{round}"), moved_bytes);
-            let mut pairs: Vec<(SpilledGraph, Option<SpilledGraph>)> = Vec::new();
-            let mut it = handles.into_iter();
-            while let Some(h1) = it.next() {
-                pairs.push((h1, it.next()));
-            }
-            let merged = engine.run_stage(
-                &format!("phase3-1:merge-round-{round}"),
-                pairs,
-                |_ctx, (h1, h2)| {
-                    Ok(match h2 {
-                        Some(h2) => merge_spill_pair(&spill, &h1.0, &h2.0).map_err(task_err)?,
-                        None => (h1.0, h1.1, 0),
-                    })
-                },
-            )?;
-            handles = Vec::with_capacity(merged.outputs.len());
-            for (handle, edges, frontier) in merged.outputs {
-                merge_peak_frontier = merge_peak_frontier.max(frontier);
-                handles.push((handle, edges));
-            }
-            edges_per_round.push(handles.iter().map(|(_, e)| e).sum());
-        }
-        let global = match handles.pop() {
-            Some((handle, _)) => {
-                let g = read_spill_graph(&spill, &handle)?;
-                spill.remove(&handle)?;
-                g
-            }
-            None => CellSubgraph::new(),
-        };
-        debug_assert!(global.is_global(), "undetermined cells after full merge");
-
-        // ---- Phase III-2: point labeling -------------------------------
-        let supports = LabelSupport::build(global);
-        let eps2 = p.eps * p.eps;
-        let labeled = engine.run_stage("phase3-2:labeling", part_refs, |_ctx, part| {
-            label_ooc_partition(part, &pool, &index, &supports, &core_points, eps2)
-        })?;
-        let clustering = assemble_clustering(store.len() as usize, labeled.outputs);
-
-        let pool_stats = pool.stats();
-        let spill_stats = spill.stats();
-        let stats = RunStats {
-            backend: p.density_backend.name(),
-            dict_cells,
-            dict_subcells,
-            dict_size_bits,
-            dict_wire_bytes: wire_bytes,
-            edges_per_round,
-            points_processed,
-            num_clusters: supports.clusters.num_clusters,
-            noise_points: clustering.noise_count(),
-            num_partitions: k,
-            query_subdicts_skipped: query_stats.subdicts_skipped as u64,
-            query_subdicts_visited: query_stats.subdicts_visited as u64,
-            query_cells_candidate: query_stats.cells_candidate as u64,
-            query_plans_built: query_stats.plans_built as u64,
-            query_plan_hits: query_stats.plan_hits as u64,
-            query_cells_planned_full: query_stats.cells_planned_full as u64,
-            query_cells_routed_planned: query_stats.cells_routed_planned as u64,
-            query_cells_routed_kd: query_stats.cells_routed_kd as u64,
-            route_min_occupancy: routing.min_occupancy().unwrap_or(0),
-            out_of_core: true,
-            pool_budget_bytes: pool_stats.budget_bytes,
-            pool_hits: pool_stats.hits,
-            pool_misses: pool_stats.misses,
-            pool_evictions: pool_stats.evictions,
-            pool_peak_tracked_bytes: pool_stats.peak_tracked_bytes,
-            spill_bytes_written: spill_stats.bytes_written,
-            spill_bytes_read: spill_stats.bytes_read,
-            merge_peak_frontier_bytes: merge_peak_frontier,
-        };
-        Ok(RpDbscanOutput { clustering, stats })
+        // Phase I-1: the directory *is* the grouped, sorted cell list.
+        let cells: Vec<u32> = (0..store.cells().len() as u32).collect();
+        let mut out = self.pipeline(&pool, &spill, store.spec().clone(), cells, engine)?;
+        let (pool_stats, spill_stats) = (pool.stats(), spill.stats());
+        let s = &mut out.stats;
+        s.out_of_core = true;
+        s.pool_budget_bytes = pool_stats.budget_bytes;
+        s.pool_hits = pool_stats.hits;
+        s.pool_misses = pool_stats.misses;
+        s.pool_evictions = pool_stats.evictions;
+        s.pool_peak_tracked_bytes = pool_stats.peak_tracked_bytes;
+        s.spill_bytes_written = spill_stats.bytes_written;
+        s.spill_bytes_read = spill_stats.bytes_read;
+        Ok(out)
     }
 }
 
@@ -281,360 +113,309 @@ fn task_err(e: StoreError) -> TaskError {
     TaskError::new(e.to_string())
 }
 
-/// Labels one out-of-core partition: core cells inherit their cluster,
-/// border points run the exact ε check against predecessor core points
-/// gathered through the pool (Algorithm 4, Lines 10–23 — the same walk
-/// as `label_partition`, with the store standing in for the dataset).
-fn label_ooc_partition(
-    part: &[u32],
-    pool: &BufferPool,
-    index: &DictionaryIndex,
-    supports: &LabelSupport,
-    core_points: &FxHashMap<u32, Vec<PointId>>,
-    eps2: f64,
-) -> Result<Vec<(PointId, Option<u32>)>, TaskError> {
-    let store = pool.store();
-    let dict = index.dict();
-    let dim = store.dim();
-    let mut out = Vec::new();
-    let mut ids: Vec<u32> = Vec::new();
-    let mut coords: Vec<f64> = Vec::new();
-    let mut core_ids: Vec<u32> = Vec::new();
-    let mut core_rows: Vec<u64> = Vec::new();
-    // Gathered coordinates of each predecessor cell's core points, keyed
-    // by dictionary cell index — border cells near the same core cell
-    // share one gather.
-    let mut core_coord_cache: FxHashMap<u32, Vec<f64>> = FxHashMap::default();
-    for &ci in part {
-        let meta = &store.cells()[ci as usize];
-        let idx = dict.index_of(&meta.coord).ok_or_else(|| {
-            TaskError::new(format!(
-                "partition cell {} missing from dictionary",
-                meta.coord
-            ))
-        })?;
-        pool.gather_ids(meta.row_start, meta.row_count, &mut ids)
-            .map_err(task_err)?;
-        match supports.global.cell_type(idx) {
-            CellType::Core => {
-                let cid = supports.clusters.cluster_of_cell[&idx];
-                for &i in &ids {
-                    out.push((PointId(i), Some(cid)));
-                }
-            }
-            CellType::NonCore => {
-                pool.gather_coords(meta.row_start, meta.row_count, &mut coords)
-                    .map_err(task_err)?;
-                let empty = Vec::new();
-                let mut pred_cells = supports.preds.get(&idx).unwrap_or(&empty).clone();
-                pred_cells.sort_unstable_by(|a, b| dict.entry(*a).coord.cmp(&dict.entry(*b).coord));
-                // Gather every predecessor's core coordinates up front so
-                // the per-point loop below is pure arithmetic.
-                for &pc in &pred_cells {
-                    if core_coord_cache.contains_key(&pc) {
-                        continue;
-                    }
-                    let cores = match core_points.get(&pc) {
-                        Some(c) => c,
-                        None => continue,
-                    };
-                    core_ids.clear();
-                    core_ids.extend(cores.iter().map(|p| p.0));
-                    let pcoord = &dict.entry(pc).coord;
-                    let pmeta = store
-                        .cells()
-                        .binary_search_by(|m| m.coord.cmp(pcoord))
-                        .map(|i| &store.cells()[i])
-                        .map_err(|_| {
-                            TaskError::new(format!(
-                                "predecessor cell {pcoord} missing from store directory"
-                            ))
-                        })?;
-                    pool.rows_of_ids(pmeta.row_start, pmeta.row_count, &core_ids, &mut core_rows)
-                        .map_err(task_err)?;
-                    let mut gathered = Vec::new();
-                    pool.gather_rows_coords(&core_rows, &mut gathered)
-                        .map_err(task_err)?;
-                    core_coord_cache.insert(pc, gathered);
-                }
-                for (j, &i) in ids.iter().enumerate() {
-                    let qc = &coords[j * dim..(j + 1) * dim];
-                    let mut label = None;
-                    'search: for &pc in &pred_cells {
-                        if let Some(pcoords) = core_coord_cache.get(&pc) {
-                            for pcc in pcoords.chunks_exact(dim) {
-                                if rpdbscan_geom::dist2(pcc, qc) <= eps2 {
-                                    label = Some(supports.clusters.cluster_of_cell[&pc]);
-                                    break 'search;
-                                }
-                            }
-                        }
-                    }
-                    out.push((PointId(i), label));
-                }
-            }
-            CellType::Undetermined => {
-                return Err(TaskError::new(format!(
-                    "global graph contains undetermined cell {idx}"
-                )));
-            }
-        }
+/// Out-of-core cells are store-directory indices, read through the pool.
+impl CellSource for BufferPool {
+    type Cell = u32;
+
+    fn num_points(&self) -> usize {
+        self.store().len() as usize
     }
-    Ok(out)
+
+    fn coord<'a>(&'a self, cell: &'a u32) -> &'a CellCoord {
+        &self.store().cells()[*cell as usize].coord
+    }
+
+    fn ids(&self, cell: &u32, out: &mut Vec<PointId>) -> Result<(), TaskError> {
+        let meta = &self.store().cells()[*cell as usize];
+        let mut raw = Vec::new();
+        self.gather_ids(meta.row_start, meta.row_count, &mut raw)
+            .map_err(task_err)?;
+        out.clear();
+        out.extend(raw.into_iter().map(PointId));
+        Ok(())
+    }
+
+    fn coords(&self, cell: &u32, out: &mut Vec<f64>) -> Result<(), TaskError> {
+        let meta = &self.store().cells()[*cell as usize];
+        self.gather_coords(meta.row_start, meta.row_count, out)
+            .map_err(task_err)
+    }
+
+    fn coords_of(
+        &self,
+        coord: &CellCoord,
+        ids: &[PointId],
+        out: &mut Vec<f64>,
+    ) -> Result<(), TaskError> {
+        let cells = self.store().cells();
+        let meta = cells
+            .binary_search_by(|m| m.coord.cmp(coord))
+            .map(|i| &cells[i])
+            .map_err(|_| TaskError::new(format!("cell {coord} missing from store directory")))?;
+        let ids: Vec<u32> = ids.iter().map(|p| p.0).collect();
+        let mut rows = Vec::new();
+        self.rows_of_ids(meta.row_start, meta.row_count, &ids, &mut rows)
+            .map_err(task_err)?;
+        self.gather_rows_coords(&rows, out).map_err(task_err)
+    }
 }
 
-/// Serializes a cell subgraph to a spill file: a sorted `(cell, type)`
-/// table, then a sorted edge list. Sorting here is what lets the merge
-/// stream both inputs without re-sorting — and it is the *same* order
-/// the resident `merge_pair` sorts into, keeping the union-find walks
-/// identical.
-fn spill_subgraph(spill: &SpillDir, g: &CellSubgraph) -> Result<(SpillHandle, usize), StoreError> {
-    let mut types: Vec<(u32, CellType)> = g.types().iter().map(|(&c, &t)| (c, t)).collect();
-    types.sort_unstable_by_key(|&(c, _)| c);
-    let mut edges: Vec<(u32, u32)> = g.edges().iter().copied().collect();
-    edges.sort_unstable();
-    let mut w = spill.writer()?;
-    w.write_u64(types.len() as u64)?;
-    // lint:allow(unordered-iter): `types` was sorted above — the spill file is written in ascending cell order
-    for (c, t) in types {
-        w.write_u32(c)?;
-        w.write_u8(encode_type(t))?;
+/// Out-of-core runs keep each graph in a spill file, with its edge count.
+impl RunStore for SpillDir {
+    type Run = (SpillHandle, usize);
+
+    fn put(&self, g: CellSubgraph) -> Result<(SpillHandle, usize), TaskError> {
+        write_run(self, &g).map_err(task_err)
     }
-    w.write_u64(edges.len() as u64)?;
-    let n_edges = edges.len();
-    // lint:allow(unordered-iter): `edges` was sorted two lines up — the spill file is written in ascending order
-    for (a, b) in edges {
+
+    fn edges(run: &(SpillHandle, usize)) -> usize {
+        run.1
+    }
+
+    fn bytes(run: &(SpillHandle, usize)) -> u64 {
+        run.0.bytes()
+    }
+
+    fn merge(
+        &self,
+        a: (SpillHandle, usize),
+        b: (SpillHandle, usize),
+    ) -> Result<((SpillHandle, usize), u64), TaskError> {
+        let matched = || -> Result<_, StoreError> {
+            let m = merge_runs(SpillRun::open(self, &a.0)?, SpillRun::open(self, &b.0)?)?;
+            let out = write_run(self, &m.graph)?;
+            self.remove(&a.0)?;
+            self.remove(&b.0)?;
+            Ok((out, m.frontier_bytes))
+        };
+        matched().map_err(task_err)
+    }
+
+    fn load(&self, run: (SpillHandle, usize)) -> Result<CellSubgraph, CoreError> {
+        let g = collect_run(SpillRun::open(self, &run.0)?)?;
+        self.remove(&run.0)?;
+        Ok(g)
+    }
+}
+
+/// Writes a graph to a spill file: the type count, the `(cell, tag)`
+/// table (tag 1 non-core, 2 core), the edge count, the edges — the run
+/// order, as is.
+fn write_run(spill: &SpillDir, g: &CellSubgraph) -> Result<(SpillHandle, usize), StoreError> {
+    let mut w = spill.writer()?;
+    w.write_u64(g.types().len() as u64)?;
+    for &(c, t) in g.types() {
+        w.write_u32(c)?;
+        w.write_u8(t as u8)?;
+    }
+    w.write_u64(g.num_edges() as u64)?;
+    for &(a, b) in g.edges() {
         w.write_u32(a)?;
         w.write_u32(b)?;
     }
-    Ok((w.finish()?, n_edges))
+    Ok((w.finish()?, g.num_edges()))
 }
 
-fn encode_type(t: CellType) -> u8 {
-    match t {
-        CellType::Undetermined => 0,
-        CellType::NonCore => 1,
-        CellType::Core => 2,
+/// A spill file read as a run. Section counts come from the file, so
+/// each is checked against the bytes the file still holds before any
+/// item is read: a corrupt count fails typed instead of driving a huge
+/// allocation or a long read. Entries must be strictly ascending, the
+/// invariant the merge builds its output on.
+struct SpillRun {
+    r: SpillReader,
+    types_left: u64,
+    /// `None` until the edge section's count has been read.
+    edges_left: Option<u64>,
+    last_cell: Option<u32>,
+    last_edge: Option<(u32, u32)>,
+}
+
+impl SpillRun {
+    fn open(spill: &SpillDir, handle: &SpillHandle) -> Result<SpillRun, StoreError> {
+        let mut r = spill.open(handle)?;
+        let types_left = r.read_count("spill type section", 5)?;
+        Ok(SpillRun {
+            r,
+            types_left,
+            edges_left: None,
+            last_cell: None,
+            last_edge: None,
+        })
     }
 }
 
-fn decode_type(v: u8) -> Result<CellType, StoreError> {
-    match v {
-        0 => Ok(CellType::Undetermined),
-        1 => Ok(CellType::NonCore),
-        2 => Ok(CellType::Core),
-        other => Err(StoreError::Corrupt {
-            what: "spill cell type",
-            detail: format!("unknown tag {other}"),
-        }),
+/// Records `next` as the latest entry of a section, which must ascend.
+fn ascending<T: PartialOrd + Copy>(last: &mut Option<T>, next: T) -> Result<T, StoreError> {
+    if last.is_some_and(|l| l >= next) {
+        return Err(StoreError::Corrupt {
+            what: "spill run order",
+            detail: "entries are not strictly ascending".to_string(),
+        });
+    }
+    *last = Some(next);
+    Ok(next)
+}
+
+impl RunSource for SpillRun {
+    type Error = StoreError;
+
+    fn next_type(&mut self) -> Result<Option<(u32, CellType)>, StoreError> {
+        if self.types_left == 0 {
+            return Ok(None);
+        }
+        self.types_left -= 1;
+        let cell = ascending(&mut self.last_cell, self.r.read_u32()?)?;
+        let t = match self.r.read_u8()? {
+            1 => CellType::NonCore,
+            2 => CellType::Core,
+            other => {
+                return Err(StoreError::Corrupt {
+                    what: "spill cell type",
+                    detail: format!("unknown tag {other}"),
+                })
+            }
+        };
+        Ok(Some((cell, t)))
+    }
+
+    fn next_edge(&mut self) -> Result<Option<(u32, u32)>, StoreError> {
+        let left = match self.edges_left {
+            Some(left) => left,
+            None => self.r.read_count("spill edge section", 8)?,
+        };
+        if left == 0 {
+            self.edges_left = Some(0);
+            return Ok(None);
+        }
+        self.edges_left = Some(left - 1);
+        let edge = (self.r.read_u32()?, self.r.read_u32()?);
+        ascending(&mut self.last_edge, edge).map(Some)
     }
 }
 
-/// One tournament match over spill files: streams both inputs, merges
-/// their type tables (max promotion, Definition 6.2), classifies edges
-/// against the merged types in globally sorted order, keeps one spanning
-/// forest over core cells (§6.1.4), writes the survivors to a new spill
-/// file and deletes the inputs. Returns the output handle, its edge
-/// count, and the frontier high-water mark in bytes (merged type table +
-/// union-find + survivor list — the only per-match memory).
-fn merge_spill_pair(
-    spill: &SpillDir,
-    h1: &SpillHandle,
-    h2: &SpillHandle,
-) -> Result<(SpillHandle, usize, u64), StoreError> {
-    let mut r1 = spill.open(h1)?;
-    let mut r2 = spill.open(h2)?;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use CellType::{Core, NonCore};
 
-    // Merged type table: 2-way sorted merge with max promotion on ties.
-    let n1 = r1.read_u64()?;
-    let n2 = r2.read_u64()?;
-    let mut types: Vec<(u32, CellType)> = Vec::with_capacity((n1 + n2) as usize);
-    {
-        let mut s1 = TypeStream::new(&mut r1, n1);
-        let mut s2 = TypeStream::new(&mut r2, n2);
-        let mut a = s1.next()?;
-        let mut b = s2.next()?;
-        loop {
-            match (a, b) {
-                (Some((ca, ta)), Some((cb, tb))) => {
-                    if ca < cb {
-                        types.push((ca, ta));
-                        a = s1.next()?;
-                    } else if cb < ca {
-                        types.push((cb, tb));
-                        b = s2.next()?;
-                    } else {
-                        types.push((ca, ta.max(tb)));
-                        a = s1.next()?;
-                        b = s2.next()?;
-                    }
-                }
-                (Some(x), None) => {
-                    types.push(x);
-                    a = s1.next()?;
-                }
-                (None, Some(x)) => {
-                    types.push(x);
-                    b = s2.next()?;
-                }
-                (None, None) => break,
+    fn sample() -> CellSubgraph {
+        CellSubgraph::new(
+            vec![(0, Core), (3, NonCore), (5, Core)],
+            vec![(0, 3), (0, 5), (5, 7)],
+        )
+    }
+
+    /// The bytes of a spill file, read back through the reader.
+    fn raw(spill: &SpillDir, h: &SpillHandle) -> Vec<u8> {
+        let mut r = spill.open(h).unwrap();
+        (0..h.bytes()).map(|_| r.read_u8().unwrap()).collect()
+    }
+
+    /// Writes `bytes` verbatim as a spill file.
+    fn spill_bytes(spill: &SpillDir, bytes: &[u8]) -> SpillHandle {
+        let mut w = spill.writer().unwrap();
+        for &b in bytes {
+            w.write_u8(b).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    /// Reads a spill file whole, and merges it against a good one; both
+    /// must agree on success or failure.
+    fn read_and_merge(spill: &SpillDir, h: &SpillHandle) -> Result<CellSubgraph, StoreError> {
+        let good = write_run(spill, &sample()).unwrap().0;
+        let merged =
+            SpillRun::open(spill, h).and_then(|run| merge_runs(run, SpillRun::open(spill, &good)?));
+        let read = collect_run(SpillRun::open(spill, h)?);
+        assert_eq!(merged.is_ok(), read.is_ok());
+        read
+    }
+
+    #[test]
+    fn spilled_run_round_trips() {
+        let spill = SpillDir::create(None).unwrap();
+        let (h, edges) = write_run(&spill, &sample()).unwrap();
+        assert_eq!(edges, 3);
+        assert_eq!(h.bytes(), 8 + 3 * 5 + 8 + 3 * 8);
+        assert_eq!(read_and_merge(&spill, &h).unwrap(), sample());
+    }
+
+    #[test]
+    fn truncated_spill_fails_typed_at_every_offset() {
+        let spill = SpillDir::create(None).unwrap();
+        let bytes = raw(&spill, &write_run(&spill, &sample()).unwrap().0);
+        for cut in 0..bytes.len() {
+            let h = spill_bytes(&spill, &bytes[..cut]);
+            let err = read_and_merge(&spill, &h).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Truncated { .. }),
+                "cut at {cut}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_section_counts_fail_typed() {
+        let spill = SpillDir::create(None).unwrap();
+        let bytes = raw(&spill, &write_run(&spill, &sample()).unwrap().0);
+        // The type count sits at offset 0, the edge count after 3 types.
+        for at in [0, 8 + 3 * 5] {
+            for count in [4, 1 << 40, u64::MAX] {
+                let mut bad = bytes.clone();
+                bad[at..at + 8].copy_from_slice(&u64::to_le_bytes(count));
+                let err = read_and_merge(&spill, &spill_bytes(&spill, &bad)).unwrap_err();
+                // One extra type misaligns the rest of the file instead.
+                assert!(
+                    matches!(
+                        err,
+                        StoreError::Truncated { .. } | StoreError::Corrupt { .. }
+                    ),
+                    "count {count} at {at}: {err:?}"
+                );
             }
         }
     }
-    let type_of = |cell: u32| -> CellType {
-        match types.binary_search_by_key(&cell, |&(c, _)| c) {
-            Ok(i) => types[i].1,
-            Err(_) => CellType::Undetermined,
-        }
-    };
-    let core_ids: Vec<u32> = types
-        // lint:allow(unordered-iter): `types` is a sorted Vec here; this walk preserves ascending cell order
-        .iter()
-        .filter(|&&(_, t)| t == CellType::Core)
-        .map(|&(c, _)| c)
-        .collect();
-    let dense: FxHashMap<u32, u32> = core_ids
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, i as u32))
-        .collect();
-    let mut uf = UnionFind::new(core_ids.len());
 
-    // Edge union in globally sorted order (the inputs are sorted, so a
-    // 2-way merge with dedup replays the resident sort-then-walk), with
-    // redundant-full-edge reduction inline.
-    let m1 = r1.read_u64()?;
-    let m2 = r2.read_u64()?;
-    let mut kept: Vec<(u32, u32)> = Vec::new();
-    {
-        let mut s1 = EdgeStream::new(&mut r1, m1);
-        let mut s2 = EdgeStream::new(&mut r2, m2);
-        let mut a = s1.next()?;
-        let mut b = s2.next()?;
-        while a.is_some() || b.is_some() {
-            let e = match (a, b) {
-                (Some(ea), Some(eb)) => {
-                    if ea < eb {
-                        a = s1.next()?;
-                        ea
-                    } else if eb < ea {
-                        b = s2.next()?;
-                        eb
-                    } else {
-                        a = s1.next()?;
-                        b = s2.next()?;
-                        ea
+    #[test]
+    fn out_of_order_entries_fail_typed() {
+        let spill = SpillDir::create(None).unwrap();
+        let bytes = raw(&spill, &write_run(&spill, &sample()).unwrap().0);
+        // Cell 0 → 9 puts it after cell 3; edge (0, 3) → (9, 3) after (0, 5).
+        for at in [8, 8 + 3 * 5 + 8] {
+            let mut bad = bytes.clone();
+            bad[at] = 9;
+            let err = read_and_merge(&spill, &spill_bytes(&spill, &bad)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreError::Corrupt {
+                        what: "spill run order",
+                        ..
                     }
-                }
-                (Some(ea), None) => {
-                    a = s1.next()?;
-                    ea
-                }
-                (None, Some(eb)) => {
-                    b = s2.next()?;
-                    eb
-                }
-                (None, None) => break,
-            };
-            let (x, y) = e;
-            if type_of(x) == CellType::Core && type_of(y) == CellType::Core {
-                let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-                if uf.union(dense[&lo], dense[&hi]) {
-                    kept.push((lo, hi));
-                }
-            } else {
-                kept.push(e);
-            }
+                ),
+                "byte {at}: {err:?}"
+            );
         }
     }
-    // Direction normalisation can reorder; restore the canonical order
-    // the next round's streams rely on.
-    kept.sort_unstable();
-    kept.dedup();
 
-    let frontier_bytes = (types.len() * 5 + core_ids.len() * 17 + kept.len() * 8) as u64;
-
-    drop(r1);
-    drop(r2);
-    let mut w = spill.writer()?;
-    w.write_u64(types.len() as u64)?;
-    // lint:allow(unordered-iter): `types` is the merge of two sorted streams — already in ascending cell order
-    for &(c, t) in &types {
-        w.write_u32(c)?;
-        w.write_u8(encode_type(t))?;
-    }
-    w.write_u64(kept.len() as u64)?;
-    for &(x, y) in &kept {
-        w.write_u32(x)?;
-        w.write_u32(y)?;
-    }
-    let handle = w.finish()?;
-    spill.remove(h1)?;
-    spill.remove(h2)?;
-    Ok((handle, kept.len(), frontier_bytes))
-}
-
-/// Reads a whole spill graph back into memory (only ever done for the
-/// final merged graph, whose size Figure 17's reduction keeps small).
-fn read_spill_graph(spill: &SpillDir, handle: &SpillHandle) -> Result<CellSubgraph, StoreError> {
-    let mut r = spill.open(handle)?;
-    let n = r.read_u64()?;
-    let mut types: FxHashMap<u32, CellType> = FxHashMap::default();
-    for _ in 0..n {
-        let c = r.read_u32()?;
-        let t = decode_type(r.read_u8()?)?;
-        types.insert(c, t);
-    }
-    let m = r.read_u64()?;
-    let mut edges: FxHashSet<(u32, u32)> = FxHashSet::default();
-    for _ in 0..m {
-        let a = r.read_u32()?;
-        let b = r.read_u32()?;
-        edges.insert((a, b));
-    }
-    Ok(CellSubgraph::from_parts(types, edges))
-}
-
-/// Counted reader over a spill file's type section.
-struct TypeStream<'a> {
-    r: &'a mut SpillReader,
-    left: u64,
-}
-
-impl<'a> TypeStream<'a> {
-    fn new(r: &'a mut SpillReader, n: u64) -> Self {
-        TypeStream { r, left: n }
-    }
-
-    fn next(&mut self) -> Result<Option<(u32, CellType)>, StoreError> {
-        if self.left == 0 {
-            return Ok(None);
+    #[test]
+    fn bad_type_tag_fails_typed() {
+        let spill = SpillDir::create(None).unwrap();
+        let bytes = raw(&spill, &write_run(&spill, &sample()).unwrap().0);
+        for tag in [0, 3, 255] {
+            let mut bad = bytes.clone();
+            bad[8 + 4] = tag; // the first cell's type
+            let err = read_and_merge(&spill, &spill_bytes(&spill, &bad)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreError::Corrupt {
+                        what: "spill cell type",
+                        ..
+                    }
+                ),
+                "tag {tag}: {err:?}"
+            );
         }
-        self.left -= 1;
-        let c = self.r.read_u32()?;
-        let t = decode_type(self.r.read_u8()?)?;
-        Ok(Some((c, t)))
-    }
-}
-
-/// Counted reader over a spill file's edge section.
-struct EdgeStream<'a> {
-    r: &'a mut SpillReader,
-    left: u64,
-}
-
-impl<'a> EdgeStream<'a> {
-    fn new(r: &'a mut SpillReader, n: u64) -> Self {
-        EdgeStream { r, left: n }
-    }
-
-    fn next(&mut self) -> Result<Option<(u32, u32)>, StoreError> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        let a = self.r.read_u32()?;
-        let b = self.r.read_u32()?;
-        Ok(Some((a, b)))
     }
 }

@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rpdbscan_engine::TaskError;
 use rpdbscan_geom::{Dataset, PointId};
 use rpdbscan_grid::{CellCoord, FxHashMap, GridSpec};
 
@@ -35,6 +36,75 @@ impl Partition {
     /// Total number of points in the partition.
     pub fn num_points(&self) -> usize {
         self.cells.iter().map(|c| c.points.len()).sum()
+    }
+}
+
+/// Where a cell's point ids and coordinates come from.
+///
+/// Every phase reads points only through this seam, so the resident and
+/// out-of-core entry points share one pipeline body. A resident run's
+/// cells are [`CellPoints`] over a [`Dataset`]; an out-of-core run's
+/// cells are store-directory indices read through the buffer pool.
+pub trait CellSource: Sync {
+    /// A handle on one cell, as Phase I-1 deals it to a partition.
+    type Cell: Send + Sync;
+
+    /// Points in the whole data set.
+    fn num_points(&self) -> usize;
+
+    /// The cell's lattice coordinate.
+    fn coord<'a>(&'a self, cell: &'a Self::Cell) -> &'a CellCoord;
+
+    /// The cell's point ids, ascending, into `out` (replacing its
+    /// contents).
+    fn ids(&self, cell: &Self::Cell, out: &mut Vec<PointId>) -> Result<(), TaskError>;
+
+    /// The cell's coordinates, row-major in [`Self::ids`] order, into
+    /// `out` (replacing its contents).
+    fn coords(&self, cell: &Self::Cell, out: &mut Vec<f64>) -> Result<(), TaskError>;
+
+    /// Coordinates of `ids` (ascending, all inside the cell at `coord`),
+    /// row-major into `out` (replacing its contents).
+    fn coords_of(
+        &self,
+        coord: &CellCoord,
+        ids: &[PointId],
+        out: &mut Vec<f64>,
+    ) -> Result<(), TaskError>;
+}
+
+impl CellSource for Dataset {
+    type Cell = CellPoints;
+
+    fn num_points(&self) -> usize {
+        self.len()
+    }
+
+    fn coord<'a>(&'a self, cell: &'a CellPoints) -> &'a CellCoord {
+        &cell.coord
+    }
+
+    fn ids(&self, cell: &CellPoints, out: &mut Vec<PointId>) -> Result<(), TaskError> {
+        out.clear();
+        out.extend_from_slice(&cell.points);
+        Ok(())
+    }
+
+    fn coords(&self, cell: &CellPoints, out: &mut Vec<f64>) -> Result<(), TaskError> {
+        self.coords_of(&cell.coord, &cell.points, out)
+    }
+
+    fn coords_of(
+        &self,
+        _coord: &CellCoord,
+        ids: &[PointId],
+        out: &mut Vec<f64>,
+    ) -> Result<(), TaskError> {
+        out.clear();
+        for &id in ids {
+            out.extend_from_slice(self.point(id));
+        }
+        Ok(())
     }
 }
 

@@ -8,11 +8,12 @@
 //! III merges the knowledge in.
 
 use crate::graph::{CellSubgraph, CellType};
-use crate::partition::Partition;
+use crate::partition::CellSource;
 use rpdbscan_engine::TaskError;
-use rpdbscan_geom::{Dataset, PointId};
+use rpdbscan_geom::PointId;
 use rpdbscan_grid::{
     CellQueryPlan, DictionaryIndex, FxHashMap, PlannerCostModel, QueryRoute, QueryStats,
+    RegionQueryResult,
 };
 
 /// How Phase II routes each cell's region queries.
@@ -63,7 +64,7 @@ impl QueryRouting {
 /// Output of Phase II for one partition.
 #[derive(Debug, Clone)]
 pub struct LocalClustering {
-    /// The partition's cell subgraph.
+    /// The partition's cell subgraph, a sorted run.
     pub subgraph: CellSubgraph,
     /// Core points per owned core cell (needed by Phase III-2's exact
     /// distance checks on partial edges, Algorithm 4 Lines 18–23).
@@ -74,155 +75,14 @@ pub struct LocalClustering {
     pub queries: u64,
 }
 
-/// Where a cell's point coordinates come from.
+/// Runs Algorithm 3 on one partition's cells: region-query every point,
+/// mark core points and core cells, and give every core cell edges to
+/// the cells holding its core points' neighbour sub-cells.
 ///
-/// The resident pipeline reads them straight out of the shared
-/// [`Dataset`]; the out-of-core pipeline gathers them through the buffer
-/// pool into a row-major scratch buffer first. Both feed the same
-/// [`LocalBuilder`], so Algorithm 3's decisions — and therefore the
-/// clustering output — are bit-identical between the two.
-#[derive(Debug, Clone, Copy)]
-pub enum PointSource<'a> {
-    /// Coordinates live in the shared dataset, addressed by point id.
-    Dataset(&'a Dataset),
-    /// Coordinates were gathered row-major: the cell's `j`-th point (in
-    /// the same order as the id slice handed to
-    /// [`LocalBuilder::process_cell`]) occupies `rows[j*dim..(j+1)*dim]`.
-    Rows(&'a [f64]),
-}
-
-impl PointSource<'_> {
-    /// Coordinates of the cell's `j`-th point, whose id is `pid`.
-    #[inline]
-    fn point(&self, dim: usize, j: usize, pid: PointId) -> &[f64] {
-        match self {
-            PointSource::Dataset(data) => data.point(pid),
-            PointSource::Rows(rows) => &rows[j * dim..(j + 1) * dim],
-        }
-    }
-}
-
-/// Incremental Algorithm 3 state: feed cells one at a time with
-/// [`Self::process_cell`], then [`Self::finish`]. Holds the partition's
-/// accumulating subgraph plus all query scratch, so processing a cell
-/// allocates nothing in steady state regardless of the point source.
-#[derive(Debug)]
-pub struct LocalBuilder {
-    subgraph: CellSubgraph,
-    core_points: FxHashMap<u32, Vec<PointId>>,
-    stats: QueryStats,
-    queries: u64,
-    // Scratch buffers reused across all points of the partition.
-    neighbors: Vec<u32>,
-    r: rpdbscan_grid::RegionQueryResult,
-    center: Vec<f64>,
-}
-
-impl LocalBuilder {
-    /// A fresh builder for one partition under `index`'s grid.
-    pub fn new(index: &DictionaryIndex) -> LocalBuilder {
-        LocalBuilder {
-            subgraph: CellSubgraph::new(),
-            core_points: FxHashMap::default(),
-            stats: QueryStats::default(),
-            queries: 0,
-            neighbors: Vec::new(),
-            r: rpdbscan_grid::RegionQueryResult::default(),
-            center: vec![0.0; index.spec().dim()],
-        }
-    }
-
-    /// Runs Algorithm 3's per-cell body: region-query every point of the
-    /// cell, mark core points, and (for a core cell) add successor edges.
-    ///
-    /// `ids` lists the cell's point ids; `source` resolves the `j`-th
-    /// id's coordinates. A cell absent from the broadcast dictionary is
-    /// an internal-consistency violation reported as a [`TaskError`].
-    pub fn process_cell(
-        &mut self,
-        index: &DictionaryIndex,
-        min_pts: usize,
-        routing: QueryRouting,
-        coord: &rpdbscan_grid::CellCoord,
-        ids: &[PointId],
-        source: PointSource<'_>,
-    ) -> Result<(), TaskError> {
-        let dim = index.spec().dim();
-        let cell_idx = index.dict().index_of(coord).ok_or_else(|| {
-            TaskError::new(format!(
-                "partition cell {coord} missing from broadcast dictionary"
-            ))
-        })?;
-        self.neighbors.clear();
-        let mut is_core_cell = false;
-        let plan = match routing.route(ids.len()) {
-            QueryRoute::Planned => {
-                self.stats.cells_routed_planned += 1;
-                let plan = CellQueryPlan::build(index, cell_idx);
-                // Build cost is charged once per cell, not once per point.
-                self.stats.merge(plan.build_stats());
-                Some(plan)
-            }
-            QueryRoute::Kd => {
-                self.stats.cells_routed_kd += 1;
-                None
-            }
-        };
-        for (j, &pid) in ids.iter().enumerate() {
-            let p = source.point(dim, j, pid);
-            match &plan {
-                Some(plan) => plan.query_into(p, &mut self.r),
-                None => index.region_query_cells_scratch(p, &mut self.r, &mut self.center),
-            }
-            self.stats.merge(&self.r.stats);
-            self.queries += 1;
-            if self.r.density >= min_pts as u64 {
-                // p is a core point (Line 9–10); its cell is core (11–12)
-                // and all cells holding one of its (ε,ρ)-neighbour
-                // sub-cells are reachable successors (13–16).
-                is_core_cell = true;
-                self.core_points.entry(cell_idx).or_default().push(pid);
-                for &nc in &self.r.neighbor_cells {
-                    if nc != cell_idx {
-                        self.neighbors.push(nc);
-                    }
-                }
-            }
-        }
-        self.subgraph.set_type(
-            cell_idx,
-            if is_core_cell {
-                CellType::Core
-            } else {
-                CellType::NonCore
-            },
-        );
-        if is_core_cell {
-            self.neighbors.sort_unstable();
-            self.neighbors.dedup();
-            for &nc in &self.neighbors {
-                self.subgraph.add_edge(cell_idx, nc);
-            }
-        }
-        Ok(())
-    }
-
-    /// The partition's finished local clustering.
-    pub fn finish(self) -> LocalClustering {
-        LocalClustering {
-            subgraph: self.subgraph,
-            core_points: self.core_points,
-            stats: self.stats,
-            queries: self.queries,
-        }
-    }
-}
-
-/// Runs Algorithm 3 on one partition.
-///
-/// `index` is the broadcast dictionary; `data` provides point coordinates
-/// (in the real system the partition physically holds them — ids suffice
-/// here because the dataset is shared read-only memory).
+/// `index` is the broadcast dictionary; `src` supplies each cell's ids
+/// and coordinates (the resident [`rpdbscan_geom::Dataset`] or the
+/// out-of-core buffer pool — the decisions, and so the output, are the
+/// same either way). The subgraph is built directly as a sorted run.
 ///
 /// `routing` decides per cell whether a [`CellQueryPlan`] is built (and
 /// every point of the cell answered through it — the kd-tree candidate
@@ -235,32 +95,86 @@ impl LocalBuilder {
 /// Runs inside a `run_stage` task; a partition cell absent from the
 /// broadcast dictionary is an internal-consistency violation reported as
 /// a [`TaskError`] so it flows through the engine's failure path.
-pub fn build_local_clustering(
-    partition: &Partition,
-    data: &Dataset,
+pub fn build_local_clustering<S: CellSource>(
+    src: &S,
+    cells: &[S::Cell],
     index: &DictionaryIndex,
     min_pts: usize,
     routing: QueryRouting,
 ) -> Result<LocalClustering, TaskError> {
-    let mut builder = LocalBuilder::new(index);
-    for cell in &partition.cells {
-        builder.process_cell(
-            index,
-            min_pts,
-            routing,
-            &cell.coord,
-            &cell.points,
-            PointSource::Dataset(data),
-        )?;
+    let dim = index.spec().dim();
+    let mut types = Vec::with_capacity(cells.len());
+    let mut edges = Vec::new();
+    let mut core_points: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
+    let mut stats = QueryStats::default();
+    let mut queries = 0u64;
+    // Scratch reused across all cells of the partition.
+    let (mut ids, mut rows, mut neighbors) = (Vec::new(), Vec::new(), Vec::new());
+    let mut r = RegionQueryResult::default();
+    let mut center = vec![0.0; dim];
+    for cell in cells {
+        let coord = src.coord(cell);
+        let cell_idx = index.dict().index_of(coord).ok_or_else(|| {
+            TaskError::new(format!(
+                "partition cell {coord} missing from broadcast dictionary"
+            ))
+        })?;
+        src.coords(cell, &mut rows)?;
+        src.ids(cell, &mut ids)?;
+        neighbors.clear();
+        let mut is_core_cell = false;
+        let plan = match routing.route(ids.len()) {
+            QueryRoute::Planned => {
+                stats.cells_routed_planned += 1;
+                let plan = CellQueryPlan::build(index, cell_idx);
+                // Build cost is charged once per cell, not once per point.
+                stats.merge(plan.build_stats());
+                Some(plan)
+            }
+            QueryRoute::Kd => {
+                stats.cells_routed_kd += 1;
+                None
+            }
+        };
+        for (&pid, p) in ids.iter().zip(rows.chunks_exact(dim)) {
+            match &plan {
+                Some(plan) => plan.query_into(p, &mut r),
+                None => index.region_query_cells_scratch(p, &mut r, &mut center),
+            }
+            stats.merge(&r.stats);
+            queries += 1;
+            if r.density >= min_pts as u64 {
+                // p is a core point (Line 9–10); its cell is core (11–12)
+                // and all cells holding one of its (ε,ρ)-neighbour
+                // sub-cells are reachable successors (13–16).
+                is_core_cell = true;
+                core_points.entry(cell_idx).or_default().push(pid);
+                neighbors.extend(r.neighbor_cells.iter().filter(|&&nc| nc != cell_idx));
+            }
+        }
+        if is_core_cell {
+            types.push((cell_idx, CellType::Core));
+            neighbors.sort_unstable();
+            neighbors.dedup();
+            edges.extend(neighbors.iter().map(|&nc| (cell_idx, nc)));
+        } else {
+            types.push((cell_idx, CellType::NonCore));
+        }
     }
-    Ok(builder.finish())
+    Ok(LocalClustering {
+        subgraph: CellSubgraph::new(types, edges),
+        core_points,
+        stats,
+        queries,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::EdgeType;
-    use crate::partition::{group_by_cell, pseudo_random_partition};
+    use crate::partition::{group_by_cell, pseudo_random_partition, Partition};
+    use rpdbscan_geom::Dataset;
     use rpdbscan_grid::{CellDictionary, GridSpec};
 
     /// A line of 10 points spaced 0.1 apart plus one far outlier.
@@ -283,15 +197,16 @@ mod tests {
         let (spec, data) = line_world();
         let (parts, index) = setup(&spec, &data, 1);
         let local =
-            build_local_clustering(&parts[0], &data, &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&data, &parts[0].cells, &index, 4, QueryRouting::Planned)
+                .unwrap();
         // Some interior cell must be core; the outlier's cell must not be.
         let outlier_cell = index.dict().index_of(&spec.cell_of(&[50.0, 50.0])).unwrap();
         assert_eq!(local.subgraph.cell_type(outlier_cell), CellType::NonCore);
         let n_core = local
             .subgraph
             .types()
-            .values()
-            .filter(|&&t| t == CellType::Core)
+            .iter()
+            .filter(|&&(_, t)| t == CellType::Core)
             .count();
         assert!(n_core >= 1);
         // With minPts=4 and 0.1 spacing, eps=0.5 covers >= 4 neighbours
@@ -304,7 +219,8 @@ mod tests {
         let (spec, data) = line_world();
         let (parts, index) = setup(&spec, &data, 1);
         let local =
-            build_local_clustering(&parts[0], &data, &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&data, &parts[0].cells, &index, 4, QueryRouting::Planned)
+                .unwrap();
         assert!(local.subgraph.is_global());
         let (_, _, undet) = local.subgraph.edge_type_counts();
         assert_eq!(undet, 0);
@@ -317,7 +233,8 @@ mod tests {
         let mut any_undetermined = false;
         for part in &parts {
             let local =
-                build_local_clustering(part, &data, &index, 4, QueryRouting::Planned).unwrap();
+                build_local_clustering(&data, &part.cells, &index, 4, QueryRouting::Planned)
+                    .unwrap();
             let (_, _, undet) = local.subgraph.edge_type_counts();
             if undet > 0 {
                 any_undetermined = true;
@@ -334,8 +251,9 @@ mod tests {
         let (spec, data) = line_world();
         let (parts, index) = setup(&spec, &data, 1);
         let local =
-            build_local_clustering(&parts[0], &data, &index, 1, QueryRouting::Planned).unwrap();
-        for (&cell, &t) in local.subgraph.types().iter() {
+            build_local_clustering(&data, &parts[0].cells, &index, 1, QueryRouting::Planned)
+                .unwrap();
+        for &(cell, t) in local.subgraph.types() {
             assert_eq!(t, CellType::Core, "cell {cell} not core at minPts=1");
         }
     }
@@ -345,10 +263,11 @@ mod tests {
         let (spec, data) = line_world();
         let (parts, index) = setup(&spec, &data, 1);
         let local =
-            build_local_clustering(&parts[0], &data, &index, 1000, QueryRouting::Planned).unwrap();
+            build_local_clustering(&data, &parts[0].cells, &index, 1000, QueryRouting::Planned)
+                .unwrap();
         assert!(local.core_points.is_empty());
         assert_eq!(local.subgraph.num_edges(), 0);
-        for &t in local.subgraph.types().values() {
+        for &(_, t) in local.subgraph.types() {
             assert_eq!(t, CellType::NonCore);
         }
     }
@@ -358,7 +277,8 @@ mod tests {
         let (spec, data) = line_world();
         let (parts, index) = setup(&spec, &data, 1);
         let local =
-            build_local_clustering(&parts[0], &data, &index, 4, QueryRouting::Planned).unwrap();
+            build_local_clustering(&data, &parts[0].cells, &index, 4, QueryRouting::Planned)
+                .unwrap();
         for &(from, _) in local.subgraph.edges() {
             assert_eq!(local.subgraph.cell_type(from), CellType::Core);
         }
@@ -377,9 +297,14 @@ mod tests {
             let (parts, index) = setup(&spec, &data, k);
             for part in &parts {
                 for min_pts in [1, 4, 1000] {
-                    let oracle =
-                        build_local_clustering(part, &data, &index, min_pts, QueryRouting::Oracle)
-                            .unwrap();
+                    let oracle = build_local_clustering(
+                        &data,
+                        &part.cells,
+                        &index,
+                        min_pts,
+                        QueryRouting::Oracle,
+                    )
+                    .unwrap();
                     assert_eq!(oracle.stats.plan_hits, 0);
                     assert_eq!(oracle.stats.cells_routed_planned, 0);
                     // Every routing mode must agree with the oracle
@@ -390,7 +315,8 @@ mod tests {
                         QueryRouting::Auto(PlannerCostModel { min_occupancy: 2 }),
                     ] {
                         let routed =
-                            build_local_clustering(part, &data, &index, min_pts, routing).unwrap();
+                            build_local_clustering(&data, &part.cells, &index, min_pts, routing)
+                                .unwrap();
                         assert_eq!(routed.queries, oracle.queries);
                         assert_eq!(routed.core_points, oracle.core_points);
                         assert_eq!(routed.subgraph.types(), oracle.subgraph.types());
@@ -429,7 +355,7 @@ mod tests {
         let total: u64 = parts
             .iter()
             .map(|p| {
-                build_local_clustering(p, &data, &index, 4, QueryRouting::auto(&index))
+                build_local_clustering(&data, &p.cells, &index, 4, QueryRouting::auto(&index))
                     .unwrap()
                     .queries
             })

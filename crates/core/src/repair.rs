@@ -256,7 +256,7 @@ pub fn contribution_delta(
 ///
 /// Callers pass `preds` sorted by cell coordinate so the winner matches the
 /// batch pipeline's deterministic tie-break in
-/// [`crate::label::label_partition`].
+/// [`crate::label::label_cells`].
 pub fn assign_border_point<'a, F>(
     q: &[f64],
     preds: &[(&CellCoord, &[u32])],
@@ -295,12 +295,8 @@ mod tests {
         let dict = CellDictionary::build_from_points(spec.clone(), data.iter().map(|(_, p)| p));
         let index = DictionaryIndex::single(dict);
         let cells = group_by_cell(&spec, &data);
-        let part = crate::partition::Partition {
-            id: 0,
-            cells: cells.clone(),
-        };
         let local =
-            build_local_clustering(&part, &data, &index, 4, QueryRouting::auto(&index)).unwrap();
+            build_local_clustering(&data, &cells, &index, 4, QueryRouting::auto(&index)).unwrap();
         for cell in &cells {
             let ids: Vec<u32> = cell.points.iter().map(|p| p.0).collect();
             let rep = recompute_cell(

@@ -2,13 +2,15 @@
 //! same labels, same cluster statistics, same shared RunStats counters —
 //! across dimensionality, ρ, pool budget and partition count. The pool
 //! budget may change how often pages are refetched, but never what the
-//! algorithm computes.
+//! algorithm computes. Cluster ids are canonical, so the labels are also
+//! identical across partition counts and seeds.
 
 use rpdbscan_core::{OutOfCoreConfig, RpDbscan, RpDbscanParams, RunStats};
 use rpdbscan_engine::{CostModel, Engine};
 use rpdbscan_geom::Dataset;
 use rpdbscan_grid::GridSpec;
 use rpdbscan_store::{ColumnStore, StoreWriter};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Deterministic multi-blob dataset in `dim` dimensions: three dense
@@ -49,10 +51,13 @@ fn build_store(
     for row in rows {
         w.push(row).unwrap();
     }
+    // One name per call: the tests run in parallel in one process, and
+    // two of them building the same-shaped store must not share a file.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "rpdbscan-equiv-{}-{dim}-{page_rows}-{}.store",
+        "rpdbscan-equiv-{}-{}.store",
         std::process::id(),
-        rows.len()
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     w.finish(&dir).unwrap();
     let store = Arc::new(ColumnStore::open(&dir).unwrap());
@@ -72,7 +77,6 @@ fn normalized(stats: &RunStats) -> RunStats {
     s.pool_peak_tracked_bytes = 0;
     s.spill_bytes_written = 0;
     s.spill_bytes_read = 0;
-    s.merge_peak_frontier_bytes = 0;
     s
 }
 
@@ -119,6 +123,32 @@ fn ooc_matches_resident_across_the_grid() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn labels_are_identical_across_partition_counts_and_seeds() {
+    let dim = 2;
+    let rows = blobs(dim, 60);
+    let data = Dataset::from_rows(dim, &rows).unwrap();
+    let store = build_store(&rows, dim, 1.0, 0.1, 64);
+    let engine = Engine::with_cost_model(4, CostModel::free());
+    let params = RpDbscanParams::new(1.0, 5).with_rho(0.1);
+    let base = RpDbscan::new(params).unwrap().run(&data, &engine).unwrap();
+    assert!(base.clustering.num_clusters() >= 3);
+    for k in [1usize, 4, 9] {
+        for seed in [0u64, 7, 1234] {
+            let runner = RpDbscan::new(params.with_partitions(k).with_seed(seed)).unwrap();
+            let resident = runner.run(&data, &engine).unwrap();
+            let ooc = runner
+                .run_out_of_core(&store, &OutOfCoreConfig::new(3 * 64 * 8), &engine)
+                .unwrap();
+            assert_eq!(
+                resident.clustering, base.clustering,
+                "resident k={k} seed={seed}"
+            );
+            assert_eq!(ooc.clustering, base.clustering, "ooc k={k} seed={seed}");
         }
     }
 }

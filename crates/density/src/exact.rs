@@ -2,7 +2,7 @@
 
 use crate::{DensityBackend, DensityError, DensityOutput, DensityStats};
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
-use rpdbscan_core::{partition::group_by_cell, DensityBackendKind, Partition};
+use rpdbscan_core::{partition::group_by_cell, CellPoints, DensityBackendKind};
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
 use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, PointId};
@@ -46,18 +46,14 @@ impl DensityBackend for ExactGrid {
         // the same flags; chunk the (already coordinate-sorted) cells
         // into `num_partitions` tasks for engine fan-out.
         let cells = group_by_cell(index.spec(), data);
-        let partitions: Vec<Partition> = crate::point_ranges(cells.len(), p.num_partitions)
+        let partitions: Vec<&[CellPoints]> = crate::point_ranges(cells.len(), p.num_partitions)
             .into_iter()
-            .enumerate()
-            .map(|(id, (lo, hi))| Partition {
-                id,
-                cells: cells[lo..hi].to_vec(),
-            })
+            .map(|(lo, hi)| &cells[lo..hi])
             .collect();
 
         let min_pts = p.min_pts;
         let stage = engine.run_stage("density:exact-cores", partitions, |_ctx, part| {
-            let local = build_local_clustering(&part, data, &index, min_pts, routing)?;
+            let local = build_local_clustering(data, part, &index, min_pts, routing)?;
             let mut ids: Vec<PointId> = local.core_points.into_values().flatten().collect();
             ids.sort_unstable();
             Ok(ids)

@@ -1,7 +1,7 @@
 //! The mutual-kNN-graph backend (à la KNN-DBSCAN, arXiv 2009.04552).
 
-use crate::uf::UnionFind;
 use crate::{DensityBackend, DensityError, DensityOutput, DensityStats};
+use rpdbscan_core::graph::UnionFind;
 use rpdbscan_core::{CoreError, DensityBackendKind, RpDbscanParams};
 use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, KdTree};

@@ -56,7 +56,6 @@ use rpdbscan_metrics::Clustering;
 mod exact;
 mod knn;
 mod sampled;
-mod uf;
 
 pub use exact::ExactGrid;
 pub use knn::MutualKnn;

@@ -1,9 +1,9 @@
 //! The sampled-core backend (à la DBSCAN++, arXiv 1810.13105).
 
-use crate::uf::UnionFind;
 use crate::{DensityBackend, DensityError, DensityOutput, DensityStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rpdbscan_core::graph::UnionFind;
 use rpdbscan_core::{CoreError, DensityBackendKind, RpDbscanParams};
 use rpdbscan_engine::Engine;
 use rpdbscan_geom::{Dataset, KdTree};

@@ -28,7 +28,9 @@ struct EngineState {
 /// A simulated cluster executing MapReduce-style stages.
 ///
 /// `virtual_workers` controls the simulated cluster width (the paper's
-/// core count); physical execution always uses the local machine fully.
+/// core count); physical execution runs on one OS thread per virtual
+/// worker, capped at the host's parallelism, so a one-worker engine is
+/// serial.
 /// The scheduling policy and the per-task retry policy are pluggable.
 ///
 /// ```
@@ -64,7 +66,9 @@ impl Engine {
         let virtual_workers = virtual_workers.max(1);
         Self {
             virtual_workers,
-            physical_threads: pool::physical_threads(),
+            // More OS threads than virtual workers would run a 1-worker
+            // engine's tasks concurrently; fewer is all the host has.
+            physical_threads: virtual_workers.min(pool::physical_threads()),
             cost,
             scheduler: Box::new(Fifo),
             retry: RetryPolicy::none(),

@@ -12,7 +12,7 @@
 //! cell's cluster; a query in an occupied non-core cell is tested
 //! against the core points of the cell's *stored* predecessor cells in
 //! coordinate order, first hit wins — the same candidates in the same
-//! order as `label_partition`, so indexed points classify to their
+//! order as `label_cells`, so indexed points classify to their
 //! stored labels bit for bit. A query in an unoccupied cell (a
 //! coordinate the clustering never saw) falls back to every core cell
 //! whose box is within ε, still visited in coordinate order.
@@ -22,7 +22,7 @@ use crate::ServeError;
 use rpdbscan_core::label::{extract_clusters, predecessor_map};
 use rpdbscan_core::partition::group_by_cell;
 use rpdbscan_core::phase2::{build_local_clustering, QueryRouting};
-use rpdbscan_core::{Partition, RpDbscanOutput, RpDbscanParams};
+use rpdbscan_core::{RpDbscanOutput, RpDbscanParams};
 use rpdbscan_engine::TaskError;
 use rpdbscan_geom::{dist2, kernel, Dataset};
 use rpdbscan_grid::{
@@ -298,9 +298,10 @@ impl ServingIndex {
     /// points) is rebuilt from the dataset with a single-partition
     /// Phase II pass under the same parameters, which reproduces the
     /// run's global cell graph exactly: the graph is
-    /// partition-independent, and `extract_clusters` assigns dense ids
-    /// by first appearance over coordinate-sorted core cells, so the
-    /// rebuilt ids equal the stored labels' ids.
+    /// partition-independent, and `extract_clusters` numbers clusters
+    /// by their smallest cell coordinate, so the rebuilt ids equal the
+    /// stored labels' ids. Every core point's stored label is checked
+    /// against its rebuilt cluster id; a mismatch is a typed error.
     pub fn from_batch(
         data: &Dataset,
         output: &RpDbscanOutput,
@@ -322,64 +323,24 @@ impl ServingIndex {
         }
         let spec = GridSpec::new(data.dim(), params.eps, params.rho)?;
         let cells = group_by_cell(&spec, data);
-        let partition = Partition { id: 0, cells };
         let dict = CellDictionary::build_from_points(spec.clone(), data.iter().map(|(_, p)| p));
         let index = DictionaryIndex::new(dict, params.subdict_capacity);
         let local = build_local_clustering(
-            &partition,
             data,
+            &cells,
             &index,
             params.min_pts,
             QueryRouting::auto(&index),
         )?;
-        let clusters = extract_clusters(&local.subgraph);
-        let preds = predecessor_map(&local.subgraph);
         let dict = index.dict();
-
-        // `extract_clusters` numbers clusters by first appearance over
-        // dictionary indices, and index order differs between this 1-way
-        // rebuild (coordinate-sorted) and the original k-way run
-        // (partition order) — the partitions of ids differ only by a
-        // permutation. Pin each rebuilt id to the stored one through any
-        // core point: Phase III gives every core point its cell's
-        // cluster id, so one lookup per cluster fixes the bijection.
-        let disagree = || {
-            ServeError::Task(TaskError::new(
-                "stored stored_labels disagree with rebuilt clustering",
-            ))
-        };
-        let mut remap: Vec<Option<u32>> = vec![None; clusters.num_clusters];
-        let mut taken = vec![false; clusters.num_clusters];
-        for i in 0..dict.num_cells() as u32 {
-            let Some(&cid) = clusters.cluster_of_cell.get(&i) else {
-                continue;
-            };
-            let Some(&p) = local.core_points.get(&i).and_then(|v| v.first()) else {
-                continue;
-            };
-            let stored = stored_labels[p.index()].ok_or_else(disagree)?;
-            match remap[cid as usize] {
-                None => {
-                    if taken.get(stored as usize).copied() != Some(false) {
-                        return Err(disagree());
-                    }
-                    taken[stored as usize] = true;
-                    remap[cid as usize] = Some(stored);
-                }
-                Some(prev) if prev != stored => return Err(disagree()),
-                Some(_) => {}
-            }
-        }
-        let remap: Vec<u32> = remap
-            .into_iter()
-            .map(|m| m.ok_or_else(disagree))
-            .collect::<Result<_, _>>()?;
+        let clusters = extract_clusters(&local.subgraph, dict);
+        let preds = predecessor_map(&local.subgraph);
 
         let dim = data.dim();
         let mut seeds = Vec::with_capacity(dict.num_cells());
         for (i, entry) in dict.cells().iter().enumerate() {
             let i = i as u32;
-            let cluster = clusters.cluster_of_cell.get(&i).map(|&c| remap[c as usize]);
+            let cluster = clusters.cluster_of_cell.get(&i).copied();
             let pred_coords = if cluster.is_some() {
                 Vec::new()
             } else {
@@ -394,6 +355,15 @@ impl ServingIndex {
             if let Some(pts) = local.core_points.get(&i) {
                 core.reserve(pts.len() * dim);
                 for &p in pts {
+                    // Cluster ids are canonical (numbered by smallest cell
+                    // coordinate), and Phase III gives every core point
+                    // its cell's cluster, so the stored label must equal
+                    // the rebuilt id.
+                    if stored_labels[p.index()] != cluster {
+                        return Err(ServeError::Task(TaskError::new(
+                            "stored labels disagree with rebuilt clustering",
+                        )));
+                    }
                     core.extend_from_slice(data.point(p));
                 }
             }

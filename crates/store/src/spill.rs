@@ -8,7 +8,10 @@
 //!
 //! Spill files are scratch, not interchange: the format (length-prefixed
 //! little-endian sections) is private to this process and carries no
-//! magic or checksums — the store file is the durable artifact.
+//! magic or checksums — the store file is the durable artifact. Readers
+//! still never trust a length prefix: [`SpillReader::read_count`] bounds
+//! each by the bytes left in the file, so truncation or a corrupt count
+//! is a typed error.
 
 use crate::StoreError;
 use std::fs::File;
@@ -114,10 +117,12 @@ impl SpillDir {
     /// their inputs whole).
     pub fn open(&self, handle: &SpillHandle) -> Result<SpillReader, StoreError> {
         let file = File::open(&handle.path)?;
+        let left = file.metadata()?.len();
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         state.stats.bytes_read += handle.bytes;
         Ok(SpillReader {
             r: BufReader::new(file),
+            left,
         })
     }
 
@@ -189,9 +194,28 @@ impl SpillWriter<'_> {
 #[derive(Debug)]
 pub struct SpillReader {
     r: BufReader<File>,
+    /// Bytes of the file not read yet.
+    left: u64,
 }
 
 impl SpillReader {
+    /// Reads a little-endian `u64` item count and checks that `count`
+    /// items of `item_bytes` each fit in the rest of the file, so a
+    /// corrupt count fails typed instead of sizing an allocation or a
+    /// read loop.
+    pub fn read_count(&mut self, what: &'static str, item_bytes: u64) -> Result<u64, StoreError> {
+        let count = self.read_u64()?;
+        let need = count.saturating_mul(item_bytes);
+        if need > self.left {
+            return Err(StoreError::Truncated {
+                what,
+                expected: need,
+                got: self.left,
+            });
+        }
+        Ok(count)
+    }
+
     /// Reads one byte.
     pub fn read_u8(&mut self) -> Result<u8, StoreError> {
         let mut b = [0u8; 1];
@@ -214,14 +238,17 @@ impl SpillReader {
     }
 
     fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
+        let want = buf.len() as u64;
         self.r.read_exact(buf).map_err(|e| match e.kind() {
             std::io::ErrorKind::UnexpectedEof => StoreError::Truncated {
                 what: "spill file",
-                expected: buf.len() as u64,
-                got: 0,
+                expected: want,
+                got: self.left.min(want),
             },
             _ => StoreError::Io(e.to_string()),
-        })
+        })?;
+        self.left = self.left.saturating_sub(want);
+        Ok(())
     }
 }
 
