@@ -8,19 +8,21 @@
 //! * wall-time speedup over the exact grid backend,
 //! * Rand index / ARI against the exact labels.
 //!
-//! Results land in `BENCH_density.json` (plus the usual CSV under
-//! `target/experiments/`). The run **aborts with a nonzero exit** if an
-//! approximate backend's Rand index drops below [`RAND_FLOOR`] — the CI
-//! `density-smoke` job relies on this as a hard accuracy gate. Speedup
-//! is recorded but not gated (timing is unreliable on shared runners);
-//! a speedup ≤ 1 on the high-d shapes prints a warning.
+//! Results land in `BENCH_density.json`, or in
+//! `target/experiments/BENCH_density.smoke.json` under `--smoke` (plus
+//! the usual CSV under `target/experiments/`). The run **aborts with a
+//! nonzero exit** if an approximate backend's Rand index drops below
+//! [`RAND_FLOOR`] — the CI `density-smoke` job relies on this as a hard
+//! accuracy gate. Speedup is recorded but not gated (timing is
+//! unreliable on shared runners); a speedup ≤ 1 on the high-d shapes
+//! prints a warning.
 //!
 //! ```sh
 //! cargo run --release -p rpdbscan-bench --bin density_accuracy
 //! cargo run --release -p rpdbscan-bench --bin density_accuracy -- --smoke
 //! ```
 
-use rpdbscan_bench::{scale, write_csv, WORKERS};
+use rpdbscan_bench::{scale, write_csv, write_ledger, WORKERS};
 use rpdbscan_core::{DensityBackendKind, RpDbscanParams};
 use rpdbscan_data::{synth, SynthConfig};
 use rpdbscan_density::backend_for;
@@ -28,7 +30,6 @@ use rpdbscan_engine::{CostModel, Engine};
 use rpdbscan_geom::Dataset;
 use rpdbscan_json::{ToJson, Value};
 use rpdbscan_metrics::{adjusted_rand_index, rand_index, Clustering, NoisePolicy};
-use std::io::Write;
 use std::time::Instant;
 
 /// Minimum acceptable Rand index of an approximate backend against the
@@ -180,10 +181,7 @@ fn main() {
         "rows",
         Value::Array(rows.iter().map(|r| r.to_json()).collect()),
     );
-    let path = "BENCH_density.json";
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create json"));
-    writeln!(f, "{doc}").expect("write json");
-    println!("wrote {path}");
+    write_ledger("density", &doc, smoke);
 
     if floor_violations > 0 {
         eprintln!("{floor_violations} backend result(s) below the Rand floor — aborting");

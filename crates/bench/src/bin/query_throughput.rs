@@ -26,8 +26,9 @@
 //! either shape, which is what makes the bench-smoke CI job fail on a
 //! routing regression.
 //!
-//! Results land in `BENCH_query.json` (plus the usual CSV under
-//! `target/experiments/`).
+//! Results land in `BENCH_query.json`, or in
+//! `target/experiments/BENCH_query.smoke.json` under `--smoke` (plus the
+//! usual CSV under `target/experiments/`).
 //!
 //! ```sh
 //! cargo run --release -p rpdbscan-bench --bin query_throughput
@@ -39,14 +40,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rpdbscan_bench::{scale, write_csv, RHO};
+use rpdbscan_bench::{scale, write_csv, write_ledger, RHO};
 use rpdbscan_core::partition::group_by_cell;
 use rpdbscan_grid::{
     CellDictionary, CellQueryPlan, DictionaryIndex, GridSpec, PlannerCostModel, QueryRoute,
     RegionQueryResult,
 };
 use rpdbscan_json::{ToJson, Value};
-use std::io::Write;
 use std::time::Instant;
 
 struct QueryRow {
@@ -303,8 +303,5 @@ fn main() {
         "rows",
         Value::Array(rows.iter().map(|r| r.to_json()).collect()),
     );
-    let path = "BENCH_query.json";
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create json"));
-    writeln!(f, "{doc}").expect("write json");
-    println!("wrote {path}");
+    write_ledger("query", &doc, smoke);
 }

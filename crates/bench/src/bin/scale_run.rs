@@ -11,8 +11,9 @@
 //!   bit-identical** to the resident pipeline's at a common size.
 //!
 //! Per ε the run records simulated elapsed seconds, pool hit rate, peak
-//! tracked bytes, and spill volume into `BENCH_scale.json` (plus the
-//! usual CSV under `target/experiments/`). Any assertion failure exits
+//! tracked bytes, and spill volume into `BENCH_scale.json` (a `--smoke`
+//! run writes `target/experiments/BENCH_scale.smoke.json` instead; CSV
+//! under `target/experiments/` either way). Any assertion failure exits
 //! nonzero — the CI `scale-smoke` job relies on that.
 //!
 //! ```sh
@@ -20,14 +21,13 @@
 //! cargo run --release -p rpdbscan-bench --bin scale_run -- --smoke
 //! ```
 
-use rpdbscan_bench::{write_csv, MIN_PTS, RHO, WORKERS};
+use rpdbscan_bench::{write_csv, write_ledger, MIN_PTS, RHO, WORKERS};
 use rpdbscan_core::{OutOfCoreConfig, RpDbscan, RpDbscanParams};
 use rpdbscan_data::{synth, SynthConfig};
 use rpdbscan_engine::{CostModel, Engine};
 use rpdbscan_geom::Dataset;
 use rpdbscan_json::{ToJson, Value};
 use rpdbscan_store::{ColumnStore, StoreWriter};
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -212,10 +212,7 @@ fn main() {
         "rows",
         Value::Array(rows.iter().map(|r| r.to_json()).collect()),
     );
-    let path = "BENCH_scale.json";
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create json"));
-    writeln!(f, "{doc}").expect("write json");
-    println!("wrote {path}");
+    write_ledger("scale", &doc, smoke);
 
     if violations > 0 {
         eprintln!("{violations} scale-run gate(s) failed — aborting");

@@ -22,8 +22,9 @@
 //!    bit-identically, and asserting the patch is never slower (and at
 //!    the 1% fraction, outside smoke, at least 5x faster).
 //!
-//! Results land in `BENCH_serve.json` (plus the usual CSV under
-//! `target/experiments/`).
+//! Results land in `BENCH_serve.json`, or in
+//! `target/experiments/BENCH_serve.smoke.json` under `--smoke` (plus the
+//! usual CSV under `target/experiments/`).
 //!
 //! ```sh
 //! cargo run --release -p rpdbscan-bench --bin serve_throughput
@@ -33,7 +34,7 @@
 //! `--smoke` shrinks the workload for CI: same code paths, same JSON
 //! shape, meaningless timings.
 
-use rpdbscan_bench::{scale, write_csv, MIN_PTS, RHO};
+use rpdbscan_bench::{scale, write_csv, write_ledger, MIN_PTS, RHO};
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
 use rpdbscan_data::synth::cosmo_like;
 use rpdbscan_data::SynthConfig;
@@ -41,7 +42,6 @@ use rpdbscan_engine::{CostModel, Engine};
 use rpdbscan_json::{ToJson, Value};
 use rpdbscan_serve::{IndexSlot, Request, Server, ServerConfig, ServingIndex};
 use rpdbscan_stream::{SlidingWindow, StreamingRpDbscan};
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -560,8 +560,5 @@ fn main() {
         Value::Array(lag_rows.iter().map(|r| r.to_json()).collect()),
     );
     doc.insert("publish_lag", lag);
-    let path = "BENCH_serve.json";
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create json"));
-    writeln!(f, "{doc}").expect("write json");
-    println!("wrote {path}");
+    write_ledger("serve", &doc, smoke);
 }

@@ -5,7 +5,8 @@
 //! (`StreamingRpDbscan::insert_batch` + `snapshot`) against re-clustering
 //! the full data set from scratch (`RpDbscan::run_local`), across batch
 //! fractions of 0.1%, 1%, and 10%. Results land in `BENCH_stream.json`
-//! (plus the usual CSV under `target/experiments/`).
+//! (`target/experiments/BENCH_stream.smoke.json` under `--smoke`; CSV
+//! under `target/experiments/` either way).
 //!
 //! ```sh
 //! cargo run --release -p rpdbscan-bench --bin stream_throughput
@@ -16,14 +17,13 @@
 //! and emits the same (well-formed) JSON, but its timings are not
 //! meaningful.
 
-use rpdbscan_bench::{scale, write_csv, MIN_PTS, RHO};
+use rpdbscan_bench::{scale, write_csv, write_ledger, MIN_PTS, RHO};
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
 use rpdbscan_data::synth::cosmo_like;
 use rpdbscan_data::{shuffled_order, SynthConfig};
 use rpdbscan_json::{ToJson, Value};
 use rpdbscan_metrics::{rand_index, NoisePolicy};
 use rpdbscan_stream::StreamingRpDbscan;
-use std::io::Write;
 use std::time::Instant;
 
 struct StreamRow {
@@ -139,8 +139,5 @@ fn main() {
         "rows",
         Value::Array(rows.iter().map(|r| r.to_json()).collect()),
     );
-    let path = "BENCH_stream.json";
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create json"));
-    writeln!(f, "{doc}").expect("write json");
-    println!("wrote {path}");
+    write_ledger("stream", &doc, smoke);
 }

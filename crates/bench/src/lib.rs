@@ -19,7 +19,7 @@ use rpdbscan_data::synth;
 use rpdbscan_data::SynthConfig;
 use rpdbscan_engine::{CostModel, Engine};
 use rpdbscan_geom::Dataset;
-use rpdbscan_json::ToJson;
+use rpdbscan_json::{ToJson, Value};
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -242,6 +242,22 @@ pub fn write_csv<T: ToJson>(name: &str, rows: &[T]) -> PathBuf {
         let line: Vec<String> = obj.values().map(|v| v.csv_cell()).collect();
         writeln!(w, "{}", line.join(",")).expect("write row");
     }
+    println!("wrote {}", path.display());
+    path
+}
+
+/// Writes a bench's JSON ledger and returns its path: the committed
+/// `BENCH_<name>.json` at the working directory for a full run, and
+/// `target/experiments/BENCH_<name>.smoke.json` for a `--smoke` run, so
+/// a smoke run never overwrites the recorded full-size numbers.
+pub fn write_ledger(name: &str, doc: &Value, smoke: bool) -> PathBuf {
+    let path = if smoke {
+        experiments_dir().join(format!("BENCH_{name}.smoke.json"))
+    } else {
+        PathBuf::from(format!("BENCH_{name}.json"))
+    };
+    let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create json"));
+    writeln!(f, "{doc}").expect("write json");
     println!("wrote {}", path.display());
     path
 }

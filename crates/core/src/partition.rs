@@ -129,6 +129,15 @@ pub fn group_by_cell(spec: &GridSpec, data: &Dataset) -> Vec<CellPoints> {
 /// The seeded shuffle + round-robin deal at the heart of
 /// [`pseudo_random_partition`], generic over the item being dealt.
 ///
+/// The shuffle deals *positions*: position `order[i]` of a seeded
+/// shuffle of `0..n` goes to partition `i % k`, exactly the membership a
+/// shuffle of the items themselves would give. The items are then pushed
+/// into their partitions in input order, so each partition keeps the
+/// input's (coordinate) order. Randomness decides only *which* partition
+/// gets a cell, as the paper asks; the order a worker visits its cells in
+/// is storage order, which lets consecutive out-of-core cells share
+/// column pages in the buffer pool.
+///
 /// The resident pipeline deals [`CellPoints`]; the out-of-core pipeline
 /// deals directory cell *indices*. Because `StdRng::seed_from_u64` plus
 /// `shuffle` depend only on the seed and the item count, both pipelines
@@ -136,14 +145,18 @@ pub fn group_by_cell(spec: &GridSpec, data: &Dataset) -> Vec<CellPoints> {
 /// of their bit-for-bit output equivalence.
 pub fn pseudo_random_deal<T>(items: Vec<T>, k: usize, seed: u64) -> Vec<Vec<T>> {
     assert!(k >= 1, "need at least one partition");
-    let mut items = items;
+    let mut order: Vec<usize> = (0..items.len()).collect();
     let mut rng = StdRng::seed_from_u64(seed);
-    items.shuffle(&mut rng);
+    order.shuffle(&mut rng);
+    let mut owner = vec![0; items.len()];
+    for (i, pos) in order.into_iter().enumerate() {
+        owner[pos] = i % k;
+    }
     let mut parts: Vec<Vec<T>> = (0..k)
         .map(|_| Vec::with_capacity(items.len() / k + 1))
         .collect();
-    for (i, item) in items.into_iter().enumerate() {
-        parts[i % k].push(item);
+    for (item, part) in items.into_iter().zip(owner) {
+        parts[part].push(item);
     }
     parts
 }
@@ -286,6 +299,46 @@ mod tests {
                     .all(|(cx, cy)| cx.coord == cy.coord)
         });
         assert!(!same, "shuffle appears seed-independent");
+    }
+
+    /// The deal's definition before it dealt positions: shuffle the items
+    /// themselves, then deal them round-robin.
+    fn shuffled_items_deal(n: usize, k: usize, seed: u64) -> Vec<Vec<usize>> {
+        let mut items: Vec<usize> = (0..n).collect();
+        items.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut parts = vec![Vec::new(); k];
+        for (i, item) in items.into_iter().enumerate() {
+            parts[i % k].push(item);
+        }
+        parts
+    }
+
+    #[test]
+    fn deal_membership_matches_shuffled_item_deal() {
+        for (n, k, seed) in [(0, 3, 1), (1, 4, 9), (57, 1, 3), (200, 7, 42), (1000, 6, 0)] {
+            let dealt = pseudo_random_deal((0..n).collect(), k, seed);
+            let reference = shuffled_items_deal(n, k, seed);
+            assert_eq!(dealt.len(), k);
+            for (part, mut want) in dealt.into_iter().zip(reference) {
+                want.sort_unstable();
+                assert_eq!(part, want, "n={n} k={k} seed={seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn dealt_partitions_keep_input_order() {
+        let d = data(1000, 9);
+        let cells = group_by_cell(&spec(), &d);
+        for (k, seed) in [(1, 0), (4, 7), (9, 3)] {
+            for p in pseudo_random_partition(cells.clone(), k, seed) {
+                assert!(
+                    p.cells.windows(2).all(|w| w[0].coord < w[1].coord),
+                    "partition {} of k={k} seed={seed} out of order",
+                    p.id
+                );
+            }
+        }
     }
 
     #[test]

@@ -212,3 +212,43 @@ fn empty_store_clusters_nothing() {
     assert_eq!(out.stats.num_clusters, 0);
     assert_eq!(out.stats.points_processed, 0);
 }
+
+#[test]
+fn storage_order_visits_reuse_pool_pages() {
+    // A jittered 60×60 lattice: about four points per cell and sixteen
+    // cells per 64-row page, so each of four partitions owns about four
+    // cells of every page. Visiting them in storage order through a
+    // second-chance pool reads most pages once per partition; shuffled
+    // visits, or a clock that evicts the page it just read, do not.
+    let dim = 2;
+    let rows: Vec<Vec<f64>> = (0..3600)
+        .map(|i| {
+            let (x, y) = ((i % 60) as f64, (i / 60) as f64);
+            let jitter = ((i * 37 % 101) as f64 / 101.0 - 0.5) * 0.2;
+            vec![x * 0.35 + jitter, y * 0.35 - jitter]
+        })
+        .collect();
+    let data = Dataset::from_rows(dim, &rows).unwrap();
+    let store = build_store(&rows, dim, 1.0, 0.1, 64);
+    let params = RpDbscanParams::new(1.0, 5).with_rho(0.1).with_partitions(4);
+    let runner = RpDbscan::new(params).unwrap();
+    // One worker is serial, so the pin sequence is deterministic.
+    let engine = Engine::with_cost_model(1, CostModel::free());
+    let ooc = runner
+        .run_out_of_core(&store, &OutOfCoreConfig::new(8 * 64 * 8), &engine)
+        .unwrap();
+    let resident = runner.run(&data, &engine).unwrap();
+    assert_eq!(ooc.clustering, resident.clustering);
+    let s = &ooc.stats;
+    let hit_rate = s.pool_hits as f64 / (s.pool_hits + s.pool_misses) as f64;
+    assert!(s.pool_evictions > 0, "the budget must force eviction");
+    // Measured 0.77. Visiting cells in shuffled order measured 0.09, and
+    // a clock that lets the next miss evict the page just read 0.20, so
+    // the floor sits well clear of both.
+    assert!(
+        hit_rate >= 0.6,
+        "pool hit rate {hit_rate:.3} ({} hits, {} misses)",
+        s.pool_hits,
+        s.pool_misses
+    );
+}

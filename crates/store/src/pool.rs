@@ -3,12 +3,18 @@
 //! [`BufferPool::pin`] returns an [`Arc`]-backed [`PageRef`]; while any
 //! handle to a page is alive the page cannot be evicted (pin = an extra
 //! strong count). Eviction is clock / second-chance: each cached page
-//! carries a referenced bit set on every hit; when tracked bytes exceed
-//! the budget the clock hand sweeps the ring, clearing referenced bits
-//! on the first pass and evicting unpinned, unreferenced pages on the
-//! second. If every page is pinned the pool overshoots its budget
-//! honestly — `peak_tracked_bytes` records it — rather than deadlocking,
-//! so the budget floor for an `n`-worker run is `n + 1` pages.
+//! carries a referenced bit, set when the page is read in and on every
+//! hit. The clock is a queue in insertion order whose front is the hand:
+//! when tracked bytes exceed the budget the hand takes the front page,
+//! and a referenced page has its bit cleared and goes to the back, as
+//! does a pinned one; an unpinned, unreferenced page is evicted. A new
+//! page therefore survives at least one full sweep, so a working set
+//! that fits the budget stays cached, and a scan that revisits each page
+//! a few times in a row (consecutive cells of a partition sharing a
+//! column page) hits on every revisit. If every page is pinned the pool
+//! overshoots its budget honestly — `peak_tracked_bytes` records it —
+//! rather than deadlocking, so the budget floor for an `n`-worker run is
+//! `n + 1` pages.
 //!
 //! The miss path drops the pool lock around the file read: concurrent
 //! misses on different pages read in parallel, and a lost race simply
@@ -17,6 +23,7 @@
 use crate::reader::ColumnStore;
 use crate::StoreError;
 use rpdbscan_grid::FxHashMap;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Address of one page: column index (coordinate columns `0..dim`, the
@@ -80,10 +87,10 @@ struct Slot {
 
 struct PoolInner {
     pages: FxHashMap<PageKey, Slot>,
-    /// Clock ring of cached keys; order is insertion order perturbed by
-    /// `swap_remove` on eviction — a performance detail only.
-    ring: Vec<PageKey>,
-    hand: usize,
+    /// Clock ring of cached keys, hand at the front. New pages join at
+    /// the back, so the order decides which page the hand reaches next
+    /// and is what gives a freshly read page its full sweep of grace.
+    ring: VecDeque<PageKey>,
     stats: PoolStats,
 }
 
@@ -108,8 +115,7 @@ impl BufferPool {
             store,
             inner: Mutex::new(PoolInner {
                 pages: FxHashMap::default(),
-                ring: Vec::new(),
-                hand: 0,
+                ring: VecDeque::new(),
                 stats: PoolStats {
                     budget_bytes,
                     ..PoolStats::default()
@@ -159,14 +165,16 @@ impl BufferPool {
             return Ok(PageRef { data });
         }
         let bytes = data.len() as u64;
+        // The read is a use: the new page starts referenced, so it
+        // outlives the next sweep instead of becoming its first victim.
         inner.pages.insert(
             key,
             Slot {
                 data: data.clone(),
-                referenced: false,
+                referenced: true,
             },
         );
-        inner.ring.push(key);
+        inner.ring.push_back(key);
         inner.stats.tracked_bytes += bytes;
         if inner.stats.tracked_bytes > inner.stats.peak_tracked_bytes {
             inner.stats.peak_tracked_bytes = inner.stats.tracked_bytes;
@@ -176,43 +184,39 @@ impl BufferPool {
     }
 }
 
-/// Clock sweep: clear referenced bits on first touch, evict unpinned
-/// unreferenced pages, stop when under budget or when a full double
-/// sweep finds nothing evictable (everything pinned).
+/// Clock sweep from the front of the ring: a referenced page loses its
+/// bit and moves to the back, a pinned page moves to the back, and an
+/// unpinned unreferenced page is evicted. Stops when under budget or when
+/// a full double sweep finds nothing evictable (everything pinned).
 fn evict_to_budget(inner: &mut PoolInner) {
     let mut fruitless = 0usize;
-    while inner.stats.tracked_bytes > inner.stats.budget_bytes && !inner.ring.is_empty() {
+    while inner.stats.tracked_bytes > inner.stats.budget_bytes {
         if fruitless > 2 * inner.ring.len() {
             break;
         }
-        if inner.hand >= inner.ring.len() {
-            inner.hand = 0;
-        }
-        let key = inner.ring[inner.hand];
-        let evict = match inner.pages.get_mut(&key) {
-            Some(slot) => {
-                if slot.referenced {
-                    slot.referenced = false;
-                    false
-                } else {
-                    // Strong count 1 = only the pool holds it; >1 = pinned.
-                    Arc::strong_count(&slot.data) == 1
-                }
-            }
-            // Ring/map disagreement cannot happen (both mutate under the
-            // same lock); treat a stale key as evictable bookkeeping.
-            None => true,
+        let Some(key) = inner.ring.pop_front() else {
+            break;
         };
-        if evict {
+        let keep = match inner.pages.get_mut(&key) {
+            Some(slot) if slot.referenced => {
+                slot.referenced = false;
+                true
+            }
+            // Strong count 1 = only the pool holds it; >1 = pinned.
+            Some(slot) => Arc::strong_count(&slot.data) > 1,
+            // Ring/map disagreement cannot happen (both mutate under the
+            // same lock); drop a stale key as bookkeeping.
+            None => false,
+        };
+        if keep {
+            inner.ring.push_back(key);
+            fruitless += 1;
+        } else {
             if let Some(slot) = inner.pages.remove(&key) {
                 inner.stats.tracked_bytes -= slot.data.len() as u64;
                 inner.stats.evictions += 1;
             }
-            inner.ring.swap_remove(inner.hand);
             fruitless = 0;
-        } else {
-            inner.hand += 1;
-            fruitless += 1;
         }
     }
 }

@@ -324,3 +324,72 @@ fn pool_pin_evict_refetch_sequence_is_deterministic() {
     assert_eq!(a, b, "identical access pattern must give identical stats");
     assert!(a.evictions > 0);
 }
+
+/// Pins `keys` in order and returns `(hits, pins)` counted over all but
+/// the first `warm` of them.
+fn hits_after(pool: &BufferPool, keys: &[PageKey], warm: usize) -> (u64, u64) {
+    let mut before = pool.stats();
+    for (i, &key) in keys.iter().enumerate() {
+        if i == warm {
+            before = pool.stats();
+        }
+        let _ = pool.pin(key).unwrap();
+    }
+    let after = pool.stats();
+    (
+        after.hits - before.hits,
+        after.hits + after.misses - before.hits - before.misses,
+    )
+}
+
+#[test]
+fn small_working_set_stays_cached_in_a_full_pool() {
+    let path = write_store("working-set", 200);
+    let _c = Cleanup(path.clone());
+    let store = Arc::new(ColumnStore::open(&path).unwrap());
+    // Eight full coordinate pages (8 rows × 8 bytes each).
+    let pool = BufferPool::new(Arc::clone(&store), 8 * 8 * 8);
+    assert!(store.pages_per_col() >= 10);
+
+    // Fill the pool with eight other pages, then alternate two pages.
+    let mut keys: Vec<PageKey> = (2..10).map(|page| PageKey { col: 0, page }).collect();
+    let warm = keys.len() + 2;
+    for i in 0..200 {
+        keys.push(PageKey {
+            col: 1,
+            page: i % 2,
+        });
+    }
+    let (hits, pins) = hits_after(&pool, &keys, warm);
+    assert!(
+        hits * 100 >= pins * 95,
+        "two-page working set in an eight-page pool hit {hits} of {pins}"
+    );
+}
+
+#[test]
+fn sequential_cell_scan_reuses_each_page() {
+    let path = write_store("scan", 200);
+    let _c = Cleanup(path.clone());
+    let store = Arc::new(ColumnStore::open(&path).unwrap());
+    let pool = BufferPool::new(Arc::clone(&store), 8 * 8 * 8);
+    let dim = store.dim() as u32;
+
+    // Three cells per page, each reading the permutation column and then
+    // both coordinate columns, the way a partition visits cells in
+    // storage order. Only the first read of each page can miss.
+    let mut keys = Vec::new();
+    for page in 0..store.pages_per_col() {
+        for _cell in 0..3 {
+            keys.push(PageKey { col: dim, page });
+            for col in 0..dim {
+                keys.push(PageKey { col, page });
+            }
+        }
+    }
+    let (hits, pins) = hits_after(&pool, &keys, 0);
+    assert!(
+        hits * 100 >= pins * 60,
+        "sequential scan of three cells per page hit {hits} of {pins}"
+    );
+}
