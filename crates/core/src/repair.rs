@@ -48,26 +48,12 @@ pub struct CellRepair {
 ///
 /// `points` are opaque caller ids (the stream crate's point slots);
 /// `point_of` resolves an id to its coordinates. The dictionary behind
-/// `index` must already reflect the epoch's mutations.
-pub fn recompute_cell<'a, F>(
-    index: &DictionaryIndex,
-    coord: &CellCoord,
-    points: &[u32],
-    point_of: F,
-    min_pts: usize,
-) -> CellRepair
-where
-    F: Fn(u32) -> &'a [f64],
-{
-    recompute_cell_planned(index, coord, points, point_of, min_pts, None)
-}
-
-/// [`recompute_cell`] with an optional per-cell query plan: when `plan` is
+/// `index` must already reflect the epoch's mutations. When `plan` is
 /// given (a [`CellQueryPlan`] built for `coord` against the same epoch's
-/// `index`), every point query is answered through it instead of the plain
-/// `region_query`. Results are identical; the plan just amortises the
-/// candidate search over the cell's points.
-pub fn recompute_cell_planned<'a, F>(
+/// `index`), every point query is answered through it instead of the
+/// plain `region_query`; results are identical, the plan just amortises
+/// the candidate search over the cell's points.
+pub fn recompute_cell<'a, F>(
     index: &DictionaryIndex,
     coord: &CellCoord,
     points: &[u32],
@@ -305,6 +291,7 @@ mod tests {
                 &ids,
                 |id| data.point(rpdbscan_geom::PointId(id)),
                 4,
+                None,
             );
             let idx = index.dict().index_of(&cell.coord).unwrap();
             let batch_core = local
@@ -349,8 +336,8 @@ mod tests {
         for (coord, ids) in &by_cell {
             let idx = index.dict().index_of(coord).unwrap();
             let plan = CellQueryPlan::build(&index, idx);
-            let planned = recompute_cell_planned(&index, coord, ids, point_of, 4, Some(&plan));
-            let oracle = recompute_cell(&index, coord, ids, point_of, 4);
+            let planned = recompute_cell(&index, coord, ids, point_of, 4, Some(&plan));
+            let oracle = recompute_cell(&index, coord, ids, point_of, 4, None);
             assert_eq!(planned.is_core, oracle.is_core);
             assert_eq!(planned.core_points, oracle.core_points);
             assert_eq!(planned.neighbors, oracle.neighbors);
@@ -370,6 +357,7 @@ mod tests {
             &[],
             |_| unreachable!("no points"),
             4,
+            None,
         );
         assert!(!rep.is_core);
         assert!(rep.core_points.is_empty());

@@ -13,7 +13,10 @@
 //!   the skipping rule of Lemma 5.10 and a kd-tree over cell centres so an
 //!   `(ε,ρ)`-region query costs `O(log |cell|)` (Lemma 5.6);
 //! * [`DictionaryIndex::region_query`] — the `(ε,ρ)`-region query itself
-//!   (Definition 5.1).
+//!   (Definition 5.1), and [`CellQueryPlan`], its per-cell memoized form;
+//! * [`window`] — the ε-window of a cell (offset bound, lattice
+//!   enumeration, lattice-versus-scan cost rule) shared by the serving and
+//!   streaming layers.
 //!
 //! The hash tables used throughout are keyed by integer lattice coordinates
 //! and use a local FxHash-style hasher ([`fxhash`]) because the default
@@ -29,14 +32,18 @@ pub mod plan;
 pub mod query;
 pub mod spec;
 pub mod subdict;
+pub mod window;
 
 pub use cell::{CellCoord, SubCellIdx};
 pub use dictionary::{CellDictionary, CellEntry, DecodeError, SubCellEntry};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use plan::{CellQueryPlan, PlanCache, PlanCacheStats, PlannerCostModel, QueryRoute};
+pub use plan::{
+    CellQueryPlan, PlanBuilder, PlanCache, PlanCacheStats, PlannerCostModel, QueryRoute,
+};
 pub use query::{QueryStats, RegionQueryResult};
 pub use spec::GridSpec;
 pub use subdict::DictionaryIndex;
+pub use window::{for_each_in_box, window_cells, window_reach, within_window, WindowRoute};
 
 /// Errors produced by grid construction.
 #[derive(Debug, Clone, PartialEq)]

@@ -30,6 +30,12 @@
 //!    pointer-chasing `CellEntry::subs` and recomputing
 //!    `sub_center_into` per sub-cell per point.
 //!
+//! Steps 2 and 3 are the [`PlanBuilder`], which takes candidate cells
+//! from any source: the serving layer feeds it a cell's ε-window
+//! ([`crate::window`]) and reads densities through
+//! [`CellQueryPlan::density`], the density-only entry into the same
+//! per-point loop as [`CellQueryPlan::query_into`].
+//!
 //! Classification uses a conservative relative slack ([`PLAN_SLACK`]):
 //! near the ε boundary a sub-cell stays in the tested set, where
 //! [`CellQueryPlan::query_into`] replicates the unplanned
@@ -46,6 +52,7 @@
 use crate::cell::CellCoord;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::query::{QueryStats, RegionQueryResult};
+use crate::spec::GridSpec;
 use crate::subdict::DictionaryIndex;
 use rpdbscan_geom::kernel;
 
@@ -60,21 +67,24 @@ use rpdbscan_geom::kernel;
 /// arithmetic is replicated exactly.
 pub const PLAN_SLACK: f64 = 1e-9;
 
-/// A memoized `(ε,ρ)`-region query plan for one occupied cell.
+/// A memoized `(ε,ρ)`-region query plan for one cell.
 ///
-/// Build once per cell with [`CellQueryPlan::build`], then answer every
-/// point of that cell through [`CellQueryPlan::query_into`]. Results are
-/// identical to [`DictionaryIndex::region_query_cells`] (density,
-/// neighbour-cell set, and the `cells_full`/`cells_partial`/
-/// `subcells_reported` counters); only candidate/sub-dictionary counters
-/// differ because that work is amortised into
-/// [`CellQueryPlan::build_stats`].
+/// Phase II builds one per occupied cell with [`CellQueryPlan::build`],
+/// then answers every point of that cell through
+/// [`CellQueryPlan::query_into`]. Results are identical to
+/// [`DictionaryIndex::region_query_cells`] (density, neighbour-cell set,
+/// and the `cells_full`/`cells_partial`/`subcells_reported` counters);
+/// only candidate/sub-dictionary counters differ because that work is
+/// amortised into [`CellQueryPlan::build_stats`]. Callers that gather
+/// their own candidates (the serving layer's ε-window) classify them with
+/// a [`PlanBuilder`] and read densities through
+/// [`CellQueryPlan::density`].
 #[derive(Debug, Clone)]
 pub struct CellQueryPlan {
     dim: usize,
     eps2: f64,
     side: f64,
-    /// Planned cells: dictionary index per cell.
+    /// Planned cells: caller id per cell (dictionary index in Phase II).
     cell_idx: Vec<u32>,
     /// Planned cells: box origin per cell, `dim` values each, computed
     /// exactly as `cell_dist2_bounds` does (`coord · side`).
@@ -99,7 +109,9 @@ pub struct CellQueryPlan {
 }
 
 impl CellQueryPlan {
-    /// Plans the region query for the cell at dictionary index `idx`.
+    /// Plans the region query for the cell at dictionary index `idx`:
+    /// gathers candidate cells from the kd-trees, then classifies them
+    /// with a [`PlanBuilder`].
     pub fn build(index: &DictionaryIndex, idx: u32) -> Self {
         let spec = index.spec();
         let dict = index.dict();
@@ -107,8 +119,8 @@ impl CellQueryPlan {
         let eps = spec.eps();
         let eps2 = eps * eps;
         let side = spec.side();
-        let qcoord = dict.entry(idx).coord.clone();
-        let qlo = spec.cell_origin(&qcoord);
+        let qcoord = &dict.entry(idx).coord;
+        let qlo = spec.cell_origin(qcoord);
         let qhi: Vec<f64> = qlo.iter().map(|v| v + side).collect();
         // Per-point searches use radius ε + diag/2 from a point inside the
         // box; ε + diag from the box itself is a strict superset with a
@@ -150,94 +162,39 @@ impl CellQueryPlan {
         // sort so the plan layout is independent of fragmentation.
         candidates.sort_unstable();
 
-        let mut plan = Self {
-            dim,
-            eps2,
-            side,
-            cell_idx: Vec::new(),
-            lo: Vec::new(),
-            total: Vec::new(),
-            always_subs: Vec::new(),
-            always_total: Vec::new(),
-            sub_start: vec![0],
-            centers: Vec::new(),
-            counts: Vec::new(),
-            build_stats,
-        };
-        let never_bound = eps2 * (1.0 + PLAN_SLACK);
-        let always_bound = eps2 * (1.0 - PLAN_SLACK);
-        let mut center = vec![0.0; dim];
-        let mut seg_centers: Vec<f64> = Vec::new();
-        let mut seg_counts: Vec<u32> = Vec::new();
+        let mut builder = PlanBuilder::new(spec, qcoord);
+        let mut centers: Vec<f64> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
         for ci in candidates {
             let entry = dict.entry(ci);
-            let (min2, _) = spec.cell_box_dist2_bounds(&qcoord, &entry.coord);
-            if min2 > never_bound {
+            if !builder.reaches(&entry.coord) {
                 continue; // *never*: out of reach for every point in the cell
             }
-            seg_centers.clear();
-            seg_counts.clear();
-            let mut total = 0u64;
-            let mut n_always = 0u32;
-            let mut t_always = 0u64;
-            for sub in &entry.subs {
-                spec.sub_center_into(&entry.coord, sub.idx, &mut center);
-                total += sub.count as u64;
-                // Point-to-box bounds with the roles swapped: the
-                // nearest/farthest query-cell point from this centre.
-                let (cmin2, cmax2) = spec.cell_dist2_bounds(&qcoord, &center);
-                if cmin2 > never_bound {
-                    // *never*: beyond ε of every query-cell point, so the
-                    // per-point test can't hit — drop it from the tested
-                    // SoA. (Such a centre also makes the full-containment
-                    // branch unreachable for this cell: a point within ε
-                    // of the whole cell box would be within ε of the
-                    // centre, contradicting this bound — so `total` is
-                    // still safe to report there.)
-                    continue;
-                }
-                if cmax2 <= always_bound {
-                    n_always += 1;
-                    t_always += sub.count as u64;
-                } else {
-                    seg_centers.extend_from_slice(&center);
-                    seg_counts.push(sub.count);
-                }
+            centers.clear();
+            centers.resize(entry.subs.len() * dim, 0.0);
+            for (sub, c) in entry.subs.iter().zip(centers.chunks_exact_mut(dim)) {
+                spec.sub_center_into(&entry.coord, sub.idx, c);
             }
-            if n_always == 0 && seg_counts.is_empty() {
-                // Every occupied sub-cell was never-pruned: the cell can
-                // contribute nothing to any query point (its full-
-                // containment branch is unreachable by the argument
-                // above), so it earns no slot in the per-point loop.
-                continue;
-            }
-            plan.cell_idx.push(ci);
-            for &c in entry.coord.coords() {
-                plan.lo.push(c as f64 * side);
-            }
-            plan.centers.extend_from_slice(&seg_centers);
-            plan.counts.extend_from_slice(&seg_counts);
-            plan.total.push(total);
-            plan.always_subs.push(n_always);
-            plan.always_total.push(t_always);
-            plan.sub_start.push(plan.counts.len() as u32);
+            counts.clear();
+            counts.extend(entry.subs.iter().map(|s| s.count));
+            builder.add(ci, &entry.coord, &centers, &counts);
         }
+        // A Phase II plan lives for one cell's points: skip `finish`'s
+        // trimming.
+        let mut plan = builder.plan;
+        plan.build_stats = build_stats;
         plan
     }
 
-    /// Answers the region query for `p` (a point of the planned cell),
-    /// clearing and refilling `result` exactly like
-    /// [`DictionaryIndex::region_query_cells_into`].
-    // lint:hot
-    pub fn query_into(&self, p: &[f64], result: &mut RegionQueryResult) {
+    /// The one per-point loop over the planned cells: calls
+    /// `reached(j, tested_hits, density)` for every planned cell `j` whose
+    /// box `p` reaches — `tested_hits` is `None` when the whole box lies
+    /// within ε of `p` (`density` is then the cell's total), otherwise the
+    /// number of tested centres within ε (`density` adds the
+    /// always-qualifying sum).
+    #[inline(always)]
+    fn scan(&self, p: &[f64], mut reached: impl FnMut(usize, Option<u32>, u64)) {
         debug_assert_eq!(p.len(), self.dim);
-        result.neighbor_cells.clear();
-        result.density = 0;
-        let mut stats = QueryStats {
-            plan_hits: 1,
-            cells_candidate: self.cell_idx.len() as u32,
-            ..QueryStats::default()
-        };
         let eps2 = self.eps2;
         let dim = self.dim;
         for j in 0..self.cell_idx.len() {
@@ -259,20 +216,17 @@ impl CellQueryPlan {
             if min_acc > eps2 {
                 continue; // cannot contain any qualifying centre
             }
-            let start = self.sub_start[j] as usize;
-            let end = self.sub_start[j + 1] as usize;
             if max_acc <= eps2 {
                 // Fully contained for this particular point: every
                 // sub-cell qualifies, tested or not.
-                stats.cells_full += 1;
-                stats.subcells_reported += self.always_subs[j] + (end - start) as u32;
-                result.density += self.total[j];
-                result.neighbor_cells.push(self.cell_idx[j]);
+                reached(j, None, self.total[j]);
             } else {
                 // Always-qualifying sub-cells need no distance test; the
                 // rest is the shared chunked kernel over the flattened
                 // SoA centres — bit-identical to a scalar `dist2` scan
                 // (see `rpdbscan_geom::kernel`).
+                let start = self.sub_start[j] as usize;
+                let end = self.sub_start[j + 1] as usize;
                 let (hits, tested_density) = kernel::sum_within_u32(
                     p,
                     &self.centers[start * dim..end * dim],
@@ -280,20 +234,58 @@ impl CellQueryPlan {
                     eps2,
                     &self.counts[start..end],
                 );
-                let reported = self.always_subs[j] + hits;
-                result.density += self.always_total[j] + tested_density;
-                if reported > 0 {
-                    stats.cells_partial += 1;
-                    stats.subcells_reported += reported;
+                reached(j, Some(hits), self.always_total[j] + tested_density);
+            }
+        }
+    }
+
+    /// Answers the region query for `p` (a point of the planned cell),
+    /// clearing and refilling `result` exactly like
+    /// [`DictionaryIndex::region_query_cells_into`].
+    // lint:hot
+    pub fn query_into(&self, p: &[f64], result: &mut RegionQueryResult) {
+        result.neighbor_cells.clear();
+        let mut stats = QueryStats {
+            plan_hits: 1,
+            cells_candidate: self.cell_idx.len() as u32,
+            ..QueryStats::default()
+        };
+        let mut density = 0u64;
+        self.scan(p, |j, tested_hits, d| {
+            density += d;
+            let tested = self.sub_start[j + 1] - self.sub_start[j];
+            match tested_hits {
+                None => {
+                    stats.cells_full += 1;
+                    stats.subcells_reported += self.always_subs[j] + tested;
                     result.neighbor_cells.push(self.cell_idx[j]);
-                    if start == end {
-                        // Answered purely from precomputed data.
-                        stats.cells_planned_full += 1;
+                }
+                Some(hits) => {
+                    let reported = self.always_subs[j] + hits;
+                    if reported > 0 {
+                        stats.cells_partial += 1;
+                        stats.subcells_reported += reported;
+                        result.neighbor_cells.push(self.cell_idx[j]);
+                        if tested == 0 {
+                            // Answered purely from precomputed data.
+                            stats.cells_planned_full += 1;
+                        }
                     }
                 }
             }
-        }
+        });
+        result.density = density;
         result.stats = stats;
+    }
+
+    /// The `(ε,ρ)`-region density of `p` alone — the density half of
+    /// [`Self::query_into`], through the same per-point loop.
+    // lint:hot
+    #[inline]
+    pub fn density(&self, p: &[f64]) -> u64 {
+        let mut density = 0u64;
+        self.scan(p, |_, _, d| density += d);
+        density
     }
 
     /// Number of planned (non-pruned) candidate cells.
@@ -316,6 +308,123 @@ impl CellQueryPlan {
     /// figures). Merge once per plan so aggregate stats stay meaningful.
     pub fn build_stats(&self) -> &QueryStats {
         &self.build_stats
+    }
+}
+
+/// The classification step of a [`CellQueryPlan`]: sorts the sub-cells of
+/// each candidate cell into *never*, *always-qualifying* and *tested*
+/// relative to every point of the home cell's box.
+///
+/// Candidates come from the caller — Phase II's kd-tree search
+/// ([`CellQueryPlan::build`]) or the serving layer's ε-window — each as a
+/// caller id, its coordinate, and its sub-cell centres (SoA, `dim` values
+/// each) with their counts.
+#[derive(Debug)]
+pub struct PlanBuilder<'a> {
+    spec: &'a GridSpec,
+    home: &'a CellCoord,
+    never_bound: f64,
+    always_bound: f64,
+    plan: CellQueryPlan,
+}
+
+impl<'a> PlanBuilder<'a> {
+    /// An empty plan for the cell `home`.
+    pub fn new(spec: &'a GridSpec, home: &'a CellCoord) -> Self {
+        let eps2 = spec.eps() * spec.eps();
+        Self {
+            spec,
+            home,
+            never_bound: eps2 * (1.0 + PLAN_SLACK),
+            always_bound: eps2 * (1.0 - PLAN_SLACK),
+            plan: CellQueryPlan {
+                dim: spec.dim(),
+                eps2,
+                side: spec.side(),
+                cell_idx: Vec::new(),
+                lo: Vec::new(),
+                total: Vec::new(),
+                always_subs: Vec::new(),
+                always_total: Vec::new(),
+                sub_start: vec![0],
+                centers: Vec::new(),
+                counts: Vec::new(),
+                build_stats: QueryStats::default(),
+            },
+        }
+    }
+
+    /// The cell-level *never* test: `false` when `coord`'s box is beyond
+    /// ε of every point of the home box. Callers skip such a cell before
+    /// materialising its centres; passing it to [`Self::add`] anyway
+    /// costs work but cannot change a result.
+    #[inline]
+    pub fn reaches(&self, coord: &CellCoord) -> bool {
+        self.spec.cell_box_dist2_bounds(self.home, coord).0 <= self.never_bound
+    }
+
+    /// Classifies one candidate cell's sub-cells. A cell none of whose
+    /// sub-cells can qualify for any point of the home box earns no slot
+    /// in the per-point loop.
+    pub fn add(&mut self, id: u32, coord: &CellCoord, centers: &[f64], counts: &[u32]) {
+        let dim = self.plan.dim;
+        debug_assert_eq!(centers.len(), counts.len() * dim);
+        let plan = &mut self.plan;
+        let first_tested = plan.counts.len();
+        let mut total = 0u64;
+        let mut n_always = 0u32;
+        let mut t_always = 0u64;
+        for (center, &n) in centers.chunks_exact(dim).zip(counts) {
+            total += u64::from(n);
+            // Point-to-box bounds with the roles swapped: the
+            // nearest/farthest home-cell point from this centre.
+            let (cmin2, cmax2) = self.spec.cell_dist2_bounds(self.home, center);
+            if cmin2 > self.never_bound {
+                // *never*: beyond ε of every home-cell point, so the
+                // per-point test can't hit — drop it from the tested
+                // SoA. (Such a centre also makes the full-containment
+                // branch unreachable for this cell: a point within ε
+                // of the whole cell box would be within ε of the
+                // centre, contradicting this bound — so `total` is
+                // still safe to report there.)
+                continue;
+            }
+            if cmax2 <= self.always_bound {
+                n_always += 1;
+                t_always += u64::from(n);
+            } else {
+                plan.centers.extend_from_slice(center);
+                plan.counts.push(n);
+            }
+        }
+        if n_always == 0 && plan.counts.len() == first_tested {
+            // Every occupied sub-cell was never-pruned: the cell can
+            // contribute nothing to any point of the home box (its full-
+            // containment branch is unreachable by the argument above).
+            return;
+        }
+        plan.cell_idx.push(id);
+        plan.lo
+            .extend(coord.coords().iter().map(|&c| c as f64 * plan.side));
+        plan.total.push(total);
+        plan.always_subs.push(n_always);
+        plan.always_total.push(t_always);
+        plan.sub_start.push(plan.counts.len() as u32);
+    }
+
+    /// The finished plan (with empty build counters), its buffers trimmed
+    /// to size for callers that cache thousands of plans.
+    pub fn finish(self) -> CellQueryPlan {
+        let mut plan = self.plan;
+        plan.cell_idx.shrink_to_fit();
+        plan.lo.shrink_to_fit();
+        plan.total.shrink_to_fit();
+        plan.always_subs.shrink_to_fit();
+        plan.always_total.shrink_to_fit();
+        plan.sub_start.shrink_to_fit();
+        plan.centers.shrink_to_fit();
+        plan.counts.shrink_to_fit();
+        plan
     }
 }
 

@@ -126,15 +126,12 @@ mod tests {
 
     fn plan() -> Arc<CellPlan> {
         // An empty plan is enough to exercise the cache mechanics.
+        let spec = rpdbscan_grid::GridSpec::new(1, 1.0, 1.0).unwrap();
+        let home = CellCoord::new([0i64]);
         Arc::new(CellPlan {
             home: None,
             sources: Vec::new(),
-            d_lo: Vec::new(),
-            d_total: Vec::new(),
-            d_always: Vec::new(),
-            d_sub_start: vec![0],
-            d_centers: Vec::new(),
-            d_counts: Vec::new(),
+            density: rpdbscan_grid::PlanBuilder::new(&spec, &home).finish(),
         })
     }
 

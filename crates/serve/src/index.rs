@@ -26,21 +26,11 @@ use rpdbscan_core::{RpDbscanOutput, RpDbscanParams};
 use rpdbscan_engine::TaskError;
 use rpdbscan_geom::{dist2, kernel, Dataset};
 use rpdbscan_grid::{
-    CellCoord, CellDictionary, DictionaryIndex, FxHashMap, GridSpec, SubCellEntry,
+    for_each_in_box, window_cells, CellCoord, CellDictionary, CellQueryPlan, DictionaryIndex,
+    FxHashMap, GridSpec, PlanBuilder, SubCellEntry, WindowRoute,
 };
 use rpdbscan_stream::StreamingRpDbscan;
 use std::sync::Arc;
-
-/// Relative slack on squared-distance cell bounds, absorbing the
-/// round-off of `side = eps/√d`. It is applied in both conservative
-/// directions: candidate cells are kept when their box is within
-/// `ε²(1+EPS_SLACK)` (boundary cells are never missed), and plan-time
-/// resolution only fires with a margin (`never` above `ε²(1+EPS_SLACK)`,
-/// `always` below `ε²(1−EPS_SLACK)`) — anything in doubt stays on the
-/// tested list, where the per-query arithmetic replicates the scalar
-/// oracle bit for bit. Same value and argument as
-/// `rpdbscan_grid::plan::PLAN_SLACK`.
-pub(crate) const EPS_SLACK: f64 = 1e-9;
 
 /// Per-cluster size summary served by [`ServingIndex::cluster_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,16 +69,11 @@ pub(crate) type CellRef = (u32, u32);
 /// generation of the index that built them — the server's LRU drops
 /// them on hot-swap.
 ///
-/// The density candidates are resolved the same way the Phase II
-/// [`CellQueryPlan`](rpdbscan_grid::CellQueryPlan) resolves them: a
-/// candidate cell whose box is farther than ε from every point of the
-/// home cell is pruned (*never*), a sub-cell centre within ε of every
-/// point of the home cell is folded into a per-cell precomputed sum
-/// (*always*), and everything near the boundary stays *tested*, where
-/// [`ServingIndex::classify_with`] replicates the scalar oracle's
-/// arithmetic exactly — same box origins, same bound formulas, same
-/// centre coordinates, same `dist2` order — through the shared chunked
-/// kernel ([`rpdbscan_geom::kernel`]).
+/// The density half is a Phase II [`CellQueryPlan`] over the cell's
+/// ε-window, classified by the same [`PlanBuilder`] from the SoA centres
+/// the records already hold and answered through
+/// [`CellQueryPlan::density`] — the per-point loop that replicates the
+/// scalar oracle's arithmetic exactly.
 #[derive(Debug, Clone)]
 pub struct CellPlan {
     /// The query's own cell, when occupied.
@@ -98,47 +83,8 @@ pub struct CellPlan {
     /// occupied non-core cell, or the ε-window core cells when the home
     /// cell is unoccupied. Empty when the home cell is core.
     pub(crate) sources: Vec<CellRef>,
-    /// Planned density cells: box origin per cell (`dim` values each,
-    /// computed exactly as `cell_dist2_bounds` does: `coord · side`).
-    pub(crate) d_lo: Vec<f64>,
-    /// Planned density cells: total point count (full-containment case).
-    pub(crate) d_total: Vec<u64>,
-    /// Planned density cells: Σ counts of the always-qualifying
-    /// sub-cells — added without a distance test whenever the cell is
-    /// partially contained.
-    pub(crate) d_always: Vec<u64>,
-    /// Prefix offsets into `d_centers`/`d_counts` for each planned
-    /// cell's tested sub-cells (`len = cells + 1`).
-    pub(crate) d_sub_start: Vec<u32>,
-    /// Tested sub-cell centres, SoA: `dim` values per sub-cell.
-    pub(crate) d_centers: Vec<f64>,
-    /// Tested sub-cell densities, parallel to `d_centers`.
-    pub(crate) d_counts: Vec<u64>,
-}
-
-impl CellPlan {
-    /// Number of per-query cell lookups the plan resolved (label source
-    /// cells plus surviving density cells).
-    pub fn num_candidates(&self) -> usize {
-        self.sources.len() + self.d_total.len()
-    }
-
-    /// Number of sub-cell centres left for per-query distance tests.
-    pub fn num_tested_subcells(&self) -> usize {
-        self.d_counts.len()
-    }
-
-    /// Number of label source cells a non-core-home query scans (0 when
-    /// the home cell is core — the label needs no per-point checks).
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Number of candidate cells surviving the plan-time never-prune in
-    /// the density half.
-    pub fn num_planned_cells(&self) -> usize {
-        self.d_total.len()
-    }
+    /// The density plan over the ε-window's cells.
+    pub(crate) density: CellQueryPlan,
 }
 
 /// One cell's frozen record. Records sit behind `Arc` so an incremental
@@ -156,7 +102,7 @@ pub(crate) struct CellRecord {
     /// SoA sub-cell centres (`dim` values per sub-cell).
     pub(crate) sub_centers: Vec<f64>,
     /// Sub-cell densities, parallel to `sub_centers`.
-    pub(crate) sub_counts: Vec<u64>,
+    pub(crate) sub_counts: Vec<u32>,
     /// Total points in the cell (= sum of `sub_counts`).
     pub(crate) count: u64,
 }
@@ -220,7 +166,7 @@ impl CellSeed {
         for sub in &self.subs {
             spec.sub_center_into(&self.coord, sub.idx, scratch);
             sub_centers.extend_from_slice(scratch);
-            sub_counts.push(u64::from(sub.count));
+            sub_counts.push(sub.count);
             count += u64::from(sub.count);
         }
         CellRecord {
@@ -268,16 +214,18 @@ pub struct ServingIndex {
 
 /// FNV-1a over a cell's lattice coordinates: the shard routing hash.
 pub(crate) fn shard_of_cell(coord: &CellCoord, num_shards: usize) -> usize {
-    (coord_fnv64(coord.coords()) % num_shards as u64) as usize
+    (coord_fnv64(coord.coords().iter().copied()) % num_shards as u64) as usize
 }
 
-/// FNV-1a over a coordinate's lattice indices. Shard routing reduces it
-/// modulo the shard count; the patch invalidation window stores the full
-/// 64 bits as a compact stand-in for the coordinate itself (a collision
-/// merely over-invalidates one cached plan, which is sound).
-pub(crate) fn coord_fnv64(coords: &[i64]) -> u64 {
+/// FNV-1a over lattice indices (little-endian bytes). Shard routing
+/// reduces it modulo the shard count; the patch invalidation window
+/// stores the full 64 bits of a super-cell coordinate as a compact
+/// stand-in for it (a collision merely over-invalidates one cached plan,
+/// which is sound). Streaming, so callers never materialise the
+/// coordinate they hash.
+pub(crate) fn coord_fnv64(coords: impl IntoIterator<Item = i64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in coords {
+    for c in coords {
         for b in c.to_le_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -659,127 +607,40 @@ impl ServingIndex {
                 .filter(|&c| self.record(c).cluster.is_some())
                 .collect(),
         };
-        let dim = self.spec.dim();
-        let side = self.spec.side();
-        let never_bound = self.eps2 * (1.0 + EPS_SLACK);
-        let always_bound = self.eps2 * (1.0 - EPS_SLACK);
-        let mut plan = CellPlan {
-            home,
-            sources,
-            d_lo: Vec::new(),
-            d_total: Vec::new(),
-            d_always: Vec::new(),
-            d_sub_start: vec![0],
-            d_centers: Vec::new(),
-            d_counts: Vec::new(),
-        };
-        let mut seg_centers: Vec<f64> = Vec::new();
-        let mut seg_counts: Vec<u64> = Vec::new();
+        let mut density = PlanBuilder::new(&self.spec, coord);
         for &c in &candidates {
             let rec = self.record(c);
-            let (min2, _) = self.spec.cell_box_dist2_bounds(coord, &rec.coord);
-            if min2 > never_bound {
-                // *never*: out of reach for every query point in `coord`.
-                continue;
+            if density.reaches(&rec.coord) {
+                // Density-only plan: the per-cell id is never read.
+                density.add(0, &rec.coord, &rec.sub_centers, &rec.sub_counts);
             }
-            seg_centers.clear();
-            seg_counts.clear();
-            let mut t_always = 0u64;
-            for (center, &n) in rec.sub_centers.chunks_exact(dim).zip(rec.sub_counts.iter()) {
-                // Point-to-box bounds with the roles swapped: the
-                // nearest/farthest point of `coord`'s box to this centre.
-                let (cmin2, cmax2) = self.spec.cell_dist2_bounds(coord, center);
-                if cmin2 > never_bound {
-                    // *never*: beyond ε of every query in the home box —
-                    // the per-query test can't hit, so drop it from the
-                    // tested SoA. Its presence also makes the cell's
-                    // full-containment branch unreachable (a query within
-                    // ε of the whole cell box would be within ε of this
-                    // centre), so `d_total` stays safe to report there.
-                    continue;
-                }
-                if cmax2 <= always_bound {
-                    t_always += n;
-                } else {
-                    seg_centers.extend_from_slice(center);
-                    seg_counts.push(n);
-                }
-            }
-            if t_always == 0 && seg_counts.is_empty() {
-                // Every occupied sub-cell was never-pruned: the cell can
-                // contribute nothing to any query in `coord` (its
-                // full-containment branch is unreachable by the argument
-                // above), so it earns no slot in the per-query loop.
-                continue;
-            }
-            for &cc in rec.coord.coords() {
-                plan.d_lo.push(cc as f64 * side);
-            }
-            plan.d_total.push(rec.count);
-            plan.d_centers.extend_from_slice(&seg_centers);
-            plan.d_counts.extend_from_slice(&seg_counts);
-            plan.d_always.push(t_always);
-            plan.d_sub_start.push(plan.d_counts.len() as u32);
         }
-        plan
+        CellPlan {
+            home,
+            sources,
+            density: density.finish(),
+        }
     }
 
     /// Occupied cells whose box is within ε of `coord`'s box, in
-    /// coordinate order. Enumerates the `(2b+1)^d` window when that is
-    /// cheaper than scanning the cell table, mirroring the streaming
-    /// subsystem's dirty-region fallback for high dimensions.
+    /// coordinate order — the grid's ε-window, by lattice lookup or by a
+    /// scan of the records, whichever [`WindowRoute::choose`] prices
+    /// lower.
     fn window_candidates(&self, coord: &CellCoord) -> Vec<CellRef> {
-        let dim = self.spec.dim();
-        let bound = self.eps2 * (1.0 + EPS_SLACK);
-        let b = 1 + (dim as f64).sqrt().ceil() as i64;
-        let width = (2 * b + 1) as usize;
-        let box_cost = width.checked_pow(dim as u32);
-        let table_cost = self.num_cells();
-        if box_cost.is_some_and(|c| c <= table_cost.saturating_mul(4)) {
-            // Enumerate offsets with dimension 0 as the outermost digit,
-            // so candidates come out in lattice-coordinate order.
-            let mut out = Vec::new();
-            let mut offs = vec![-b; dim];
-            let mut cand = Vec::with_capacity(dim);
-            loop {
-                cand.clear();
-                cand.extend(coord.coords().iter().zip(offs.iter()).map(|(&c, &o)| c + o));
-                let cc = CellCoord::new(cand.iter().copied());
-                if self.spec.cell_min_dist2(coord, &cc) <= bound {
-                    if let Some(r) = self.find_cell(&cc) {
-                        out.push(r);
-                    }
-                }
-                // Increment the mixed-radix counter, last dimension
-                // fastest.
-                let mut d = dim;
-                loop {
-                    if d == 0 {
-                        return out;
-                    }
-                    d -= 1;
-                    if offs[d] < b {
-                        offs[d] += 1;
-                        break;
-                    }
-                    offs[d] = -b;
-                }
-            }
-        } else {
-            // High dimension: the window would dwarf the table — scan
-            // every record instead and sort by coordinate.
-            let mut hits: Vec<(CellCoord, CellRef)> = Vec::new();
-            for (s, shard) in self.shards.iter().enumerate() {
-                for (r, rec) in shard.records.iter().enumerate() {
-                    let Some(rec) = rec else { continue };
-                    if self.spec.cell_min_dist2(coord, &rec.coord) <= bound {
-                        hits.push((rec.coord.clone(), (s as u32, r as u32)));
-                    }
-                }
-            }
-            hits.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            hits.into_iter().map(|(_, r)| r).collect()
-        }
+        let table = self.shards.iter().enumerate().flat_map(|(s, shard)| {
+            shard
+                .records
+                .iter()
+                .enumerate()
+                .filter_map(move |(r, rec)| Some((&rec.as_ref()?.coord, (s as u32, r as u32))))
+        });
+        window_cells(
+            &self.spec,
+            coord,
+            WindowRoute::choose(self.spec.dim(), self.num_cells()),
+            table,
+            |c| self.find_cell(c),
+        )
     }
 
     /// Classifies a coordinate against the served clustering: the label
@@ -804,8 +665,6 @@ impl ServingIndex {
     // lint:hot
     pub fn classify_with(&self, plan: &CellPlan, q: &[f64]) -> Result<Classification, ServeError> {
         self.validate(q)?;
-        let dim = self.spec.dim();
-        let eps2 = self.eps2;
         let label = match plan.home {
             Some(h) if self.record(h).cluster.is_some() => self.record(h).cluster,
             _ => {
@@ -816,7 +675,7 @@ impl ServingIndex {
                 let mut label = None;
                 for &c in &plan.sources {
                     let rec = self.record(c);
-                    if kernel::any_within(q, &rec.core, dim, eps2) {
+                    if kernel::any_within(q, &rec.core, self.spec.dim(), self.eps2) {
                         label = rec.cluster;
                         break;
                     }
@@ -824,47 +683,10 @@ impl ServingIndex {
                 label
             }
         };
-        let side = self.spec.side();
-        let mut density = 0u64;
-        for j in 0..plan.d_total.len() {
-            // Per-query box bounds, bit-identical to
-            // `GridSpec::cell_dist2_bounds` (same origins, same formulas).
-            let lo = &plan.d_lo[j * dim..(j + 1) * dim];
-            let mut min_acc = 0.0;
-            let mut max_acc = 0.0;
-            for (&l, &v) in lo.iter().zip(q.iter()) {
-                let hi = l + side;
-                // Branch-free selection of the same values the branchy
-                // `cell_dist2_bounds` arms produce: `l - v` when the
-                // query is left of the box, `v - hi` right of it, else 0.
-                let dmin = (l - v).max(v - hi).max(0.0);
-                let dmax = (v - l).abs().max((v - hi).abs());
-                min_acc += dmin * dmin;
-                max_acc += dmax * dmax;
-            }
-            if min_acc > eps2 {
-                continue;
-            }
-            if max_acc <= eps2 {
-                // Fully contained cell: every sub-cell counts.
-                density += plan.d_total[j];
-            } else {
-                // Partially contained: the always-qualifying sub-cells
-                // were summed at plan time; the tested remainder runs
-                // through the shared chunked kernel over the SoA centres.
-                let start = plan.d_sub_start[j] as usize;
-                let end = plan.d_sub_start[j + 1] as usize;
-                density += plan.d_always[j]
-                    + kernel::sum_within_u64(
-                        q,
-                        &plan.d_centers[start * dim..end * dim],
-                        dim,
-                        eps2,
-                        &plan.d_counts[start..end],
-                    );
-            }
-        }
-        Ok(Classification { label, density })
+        Ok(Classification {
+            label,
+            density: plan.density.density(q),
+        })
     }
 
     /// Reference classification: rebuilds the candidate window per query
@@ -922,7 +744,7 @@ impl ServingIndex {
                     .zip(rec.sub_counts.iter())
                 {
                     if dist2(center, q) <= self.eps2 {
-                        density += n;
+                        density += u64::from(n);
                     }
                 }
             }
@@ -956,32 +778,15 @@ impl ServingIndex {
         let halo_feasible = 3usize.checked_pow(dim as u32).is_some_and(|w| w <= 1 << 12);
         if out.len() < budget && halo_feasible {
             let mut halo: std::collections::BTreeSet<CellCoord> = std::collections::BTreeSet::new();
-            let mut cand = Vec::with_capacity(dim);
             for c in &occupied {
-                let mut offs = vec![-1i64; dim];
-                loop {
-                    cand.clear();
-                    cand.extend(c.coords().iter().zip(offs.iter()).map(|(&x, &o)| x + o));
+                let lo: Vec<i64> = c.coords().iter().map(|&x| x - 1).collect();
+                let hi: Vec<i64> = c.coords().iter().map(|&x| x + 1).collect();
+                for_each_in_box(&lo, &hi, |cand| {
                     let cc = CellCoord::new(cand.iter().copied());
                     if self.find_cell(&cc).is_none() {
                         halo.insert(cc);
                     }
-                    let mut d = dim;
-                    loop {
-                        if d == 0 {
-                            break;
-                        }
-                        d -= 1;
-                        if offs[d] < 1 {
-                            offs[d] += 1;
-                            break;
-                        }
-                        offs[d] = -1;
-                    }
-                    if offs.iter().all(|&o| o == -1) {
-                        break;
-                    }
-                }
+                });
             }
             for c in halo {
                 if out.len() >= budget {

@@ -20,10 +20,10 @@
 //! it did against the base — the [`PatchSummary`] exports that window
 //! (`invalidates`) and the server carries everything outside it.
 
-use crate::index::{shard_of_cell, shard_of_point, CellSeed, LabelShard};
+use crate::index::{coord_fnv64, shard_of_cell, shard_of_point, CellSeed, LabelShard};
 use crate::index::{ServingIndex, Shard};
 use crate::ServeError;
-use rpdbscan_grid::{CellCoord, FxHashMap, FxHashSet, GridSpec};
+use rpdbscan_grid::{for_each_in_box, window_reach, CellCoord, FxHashMap, FxHashSet, GridSpec};
 use rpdbscan_stream::StreamingRpDbscan;
 use std::sync::Arc;
 
@@ -94,7 +94,9 @@ impl PatchSummary {
     pub fn invalidates(&self, coord: &CellCoord) -> bool {
         self.invalid.as_ref().is_none_or(|s| {
             let w = super_width(coord.coords().len());
-            s.contains(&fnv64(coord.coords().iter().map(|&c| c.div_euclid(w))))
+            s.contains(&coord_fnv64(
+                coord.coords().iter().map(|&c| c.div_euclid(w)),
+            ))
         })
     }
 
@@ -209,23 +211,10 @@ struct ShardPatch {
     label_deltas: Vec<(u32, i64)>,
 }
 
-/// Super-cell width: `b + 1` lattice cells per dimension, where
-/// `b = 1 + ⌈√d⌉` is the candidate-window offset bound (a cell within ε
-/// of another is at most `b` lattice steps away per dimension).
+/// Super-cell width: `b + 1` lattice cells per dimension, where `b` is
+/// the ε-window offset bound ([`window_reach`]).
 fn super_width(dim: usize) -> i64 {
-    2 + (dim as f64).sqrt().ceil() as i64
-}
-
-/// FNV-1a over a sequence of i64 values (LE bytes) — the super-cell
-/// hash. Streaming, so callers never materialise the super coordinate.
-fn fnv64(vals: impl Iterator<Item = i64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in vals {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    window_reach(dim) + 1
 }
 
 /// Hashes of every super-cell overlapping the `±b` lattice window of a
@@ -242,7 +231,7 @@ fn fnv64(vals: impl Iterator<Item = i64>) -> u64 {
 /// plans, correctness never depends on the window being tight.
 fn invalidated_supers(spec: &GridSpec, dirty: &[CellCoord]) -> Option<FxHashSet<u64>> {
     let dim = spec.dim();
-    let b = 1 + (dim as f64).sqrt().ceil() as i64;
+    let b = window_reach(dim);
     let w = super_width(dim);
     let per_cell = 3i64.checked_pow(dim as u32)?;
     let total = per_cell.checked_mul(dirty.len() as i64)?;
@@ -250,26 +239,12 @@ fn invalidated_supers(spec: &GridSpec, dirty: &[CellCoord]) -> Option<FxHashSet<
         return None;
     }
     let mut out = FxHashSet::default();
-    let mut lo = vec![0i64; dim];
-    let mut hi = vec![0i64; dim];
-    let mut cur = vec![0i64; dim];
     for c in dirty {
-        for (i, &x) in c.coords().iter().enumerate() {
-            lo[i] = (x - b).div_euclid(w);
-            hi[i] = (x + b).div_euclid(w);
-        }
-        cur.copy_from_slice(&lo);
-        'enumerate: loop {
-            out.insert(fnv64(cur.iter().copied()));
-            for i in 0..dim {
-                if cur[i] < hi[i] {
-                    cur[i] += 1;
-                    continue 'enumerate;
-                }
-                cur[i] = lo[i];
-            }
-            break;
-        }
+        let lo: Vec<i64> = c.coords().iter().map(|&x| (x - b).div_euclid(w)).collect();
+        let hi: Vec<i64> = c.coords().iter().map(|&x| (x + b).div_euclid(w)).collect();
+        for_each_in_box(&lo, &hi, |sup| {
+            out.insert(coord_fnv64(sup.iter().copied()));
+        });
     }
     Some(out)
 }

@@ -3,11 +3,13 @@
 //! `classify(coords)` on an indexed point must return exactly the label
 //! the Phase III pipeline stored for it — across ρ ∈ {1.0, 0.1},
 //! dimensions 1–3, shard counts, and both index sources (batch run and
-//! streaming snapshot).
+//! streaming snapshot). Planned classify is also pinned against the
+//! scalar oracle on a 13-d input.
 
 use std::f64::consts::TAU;
 
 use rpdbscan_core::{RpDbscan, RpDbscanParams};
+use rpdbscan_data::synth::{self, SynthConfig};
 use rpdbscan_geom::{Dataset, PointId};
 use rpdbscan_serve::ServingIndex;
 use rpdbscan_stream::StreamingRpDbscan;
@@ -105,12 +107,41 @@ fn classify_matches_streaming_snapshot_exactly() {
     }
 }
 
+/// One probe per point near a corner of the point's cell box, the corner
+/// picked by the bits of the point's index: a corner is as far as a query
+/// gets from the box's far side, which is where a plan-time *always*
+/// decision that is too loose would first show.
+fn corner_probes(index: &ServingIndex, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let spec = index.spec();
+    let side = spec.side();
+    points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let origin = spec.cell_origin(&spec.cell_of(p));
+            let bits = i.wrapping_mul(0x9e37_79b9) >> 3;
+            origin
+                .iter()
+                .enumerate()
+                .map(|(d, o)| {
+                    o + side
+                        * if bits >> (d % 16) & 1 == 1 {
+                            0.999_999
+                        } else {
+                            1e-6
+                        }
+                })
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
 fn planned_classify_matches_scalar_oracle_bit_for_bit() {
     // The planned path (plan-time never/always resolution + chunked
     // kernel) must reproduce the scalar reference *exactly* — label and
-    // density — on indexed points, perturbed probes, and probes into
-    // unoccupied space.
+    // density — on indexed points, cell-corner and perturbed probes, and
+    // probes into unoccupied space.
     for dim in 1..=3usize {
         for rho in [1.0, 0.1] {
             let rows = test_rows(dim);
@@ -124,6 +155,7 @@ fn planned_classify_matches_scalar_oracle_bit_for_bit() {
                 p[0] += 0.37; // off-lattice: exercises partial containment
                 p
             }));
+            probes.extend(corner_probes(&index, &rows));
             probes.push(vec![1.3; dim]); // unoccupied cell near blob 1
             probes.push(vec![123.4; dim]); // far empty space
             for q in &probes {
@@ -132,6 +164,27 @@ fn planned_classify_matches_scalar_oracle_bit_for_bit() {
                 assert_eq!(planned, oracle, "dim={dim} rho={rho} q={q:?}");
             }
         }
+    }
+    // 13-d TeraClick-like input at the benchmark's ε and ρ: the ε-window
+    // is found by scanning the records (the lattice window would dwarf
+    // the table), and most sub-cells land on the tested list.
+    let data = synth::teraclick_like(SynthConfig::new(600).with_seed(3));
+    let params = RpDbscanParams::new(800.0, 25).with_rho(0.01);
+    let out = RpDbscan::new(params).unwrap().run_local(&data).unwrap();
+    assert!(out.clustering.num_clusters() >= 2, "teraclick clusters");
+    let index = ServingIndex::from_batch(&data, &out, &params, 4, 1).unwrap();
+    let mut probes: Vec<Vec<f64>> = data.iter().map(|(_, p)| p.to_vec()).collect();
+    probes.extend(corner_probes(&index, &probes));
+    probes.extend(
+        data.iter()
+            .map(|(_, p)| p.iter().map(|v| v + 97.3).collect()),
+    );
+    probes.push(vec![5_000.0; data.dim()]);
+    probes.push(vec![-9_000.0; data.dim()]);
+    for q in &probes {
+        let planned = index.classify(q).unwrap();
+        let oracle = index.classify_oracle(q).unwrap();
+        assert_eq!(planned, oracle, "teraclick q={q:?}");
     }
 }
 

@@ -31,15 +31,16 @@
 #![warn(missing_docs)]
 
 use rpdbscan_core::repair::{
-    assign_border_point, cell_contribution, contribution_delta, recompute_cell_planned, sub_diff,
+    assign_border_point, cell_contribution, contribution_delta, recompute_cell, sub_diff,
     CellRepair, SubDiff,
 };
 use rpdbscan_core::RpDbscanParams;
 use rpdbscan_engine::{epoch_stage_name, CostModel, Engine, EngineReport, StageError};
 use rpdbscan_geom::{dist2, Dataset};
 use rpdbscan_grid::{
-    CellCoord, CellDictionary, DecodeError, DictionaryIndex, FxHashMap, FxHashSet, GridError,
-    GridSpec, PlanCache, PlannerCostModel, QueryRoute, QueryStats, RegionQueryResult, SubCellEntry,
+    window_cells, CellCoord, CellDictionary, DecodeError, DictionaryIndex, FxHashMap, FxHashSet,
+    GridError, GridSpec, PlanCache, PlannerCostModel, QueryRoute, QueryStats, RegionQueryResult,
+    SubCellEntry, WindowRoute,
 };
 use rpdbscan_metrics::Clustering;
 
@@ -946,59 +947,24 @@ impl StreamingRpDbscan {
 
     /// The dirty region of a batch: every occupied cell within ε
     /// (box-to-box) of a changed cell, paired with the changed cells
-    /// within ε of it (the sources of its density deltas). Uses lattice
-    /// box enumeration when the `(2B+1)^d` window is smaller than a scan
-    /// over all occupied cells, the scan otherwise; both apply the exact
-    /// `cell_min_dist2 ≤ ε²` test, so the result is identical.
+    /// within ε of it (the sources of its density deltas) — the grid's
+    /// ε-window of each changed cell. Its slack keeps boundary cells:
+    /// repairing an unaffected cell is a no-op, missing an affected one
+    /// would be a correctness bug.
     fn dirty_region(&self, changed: &[CellCoord]) -> Vec<(CellCoord, Vec<CellCoord>)> {
-        let eps2 = self.spec.eps() * self.spec.eps();
-        // Slightly inflated bound: repairing an unaffected cell is a
-        // no-op, missing an affected one is a correctness bug.
-        let eps2_bound = eps2 * (1.0 + 1e-9);
+        let route = WindowRoute::choose(self.dim, self.cells.len());
         let mut dirty: FxHashMap<CellCoord, Vec<CellCoord>> = FxHashMap::default();
-        let mut pair = |changed: &CellCoord, occupied: CellCoord| {
-            dirty.entry(occupied).or_default().push(changed.clone());
-        };
-        // (|δ|−1)·side ≤ ε per dimension bounds the offset window:
-        // |δ| ≤ 1 + ε/side = 1 + √d.
-        let b = 1 + (self.dim as f64).sqrt().ceil() as i64;
-        let window = (2 * b + 1).checked_pow(self.dim as u32);
-        let box_cost = window.and_then(|w| w.checked_mul(changed.len() as i64));
-        let scan_cost = (self.cells.len() * changed.len()) as i64;
-        match box_cost {
-            Some(cost) if cost <= scan_cost => {
-                let mut offset = vec![-b; self.dim];
-                for c in changed {
-                    offset.fill(-b);
-                    'enumerate: loop {
-                        let cand = CellCoord::new(
-                            c.coords().iter().zip(offset.iter()).map(|(&x, &d)| x + d),
-                        );
-                        if self.cells.contains_key(&cand)
-                            && self.spec.cell_min_dist2(c, &cand) <= eps2_bound
-                        {
-                            pair(c, cand);
-                        }
-                        for slot in offset.iter_mut() {
-                            *slot += 1;
-                            if *slot <= b {
-                                continue 'enumerate;
-                            }
-                            *slot = -b;
-                        }
-                        break;
-                    }
-                }
-            }
-            _ => {
-                // lint:allow(unordered-iter): pairs accumulate into dirty, whose values and keys are both sorted before use below
-                for cand in self.cells.keys() {
-                    for c in changed {
-                        if self.spec.cell_min_dist2(c, cand) <= eps2_bound {
-                            pair(c, cand.clone());
-                        }
-                    }
-                }
+        for c in changed {
+            let occupied = window_cells(
+                &self.spec,
+                c,
+                route,
+                // lint:allow(unordered-iter): the scan route sorts its hits by coordinate
+                self.cells.keys().map(|k| (k, k)),
+                |cand| self.cells.get_key_value(cand).map(|(k, _)| k),
+            );
+            for cand in occupied {
+                dirty.entry(cand.clone()).or_default().push(c.clone());
             }
         }
         for sources in dirty.values_mut() {
@@ -1326,9 +1292,9 @@ impl StreamingRpDbscan {
                                 if crossed {
                                     // Unchanged cells are never prebuilt, so
                                     // the plan lookup misses and this runs
-                                    // the oracle path — the planned variant
-                                    // keeps one code path either way.
-                                    let rep = recompute_cell_planned(
+                                    // the oracle path — passing the optional
+                                    // plan keeps one code path either way.
+                                    let rep = recompute_cell(
                                         &index,
                                         &c,
                                         pts,
